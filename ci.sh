@@ -38,6 +38,15 @@ dune runtest
 dune exec test/test_fault.exe >/dev/null
 dune exec test/test_engine.exe -- test atomic-file >/dev/null
 
+# Cross-domain identity gates, repeated: the profile document and the
+# sharded-DES pool identity each compare a -j 2 run with a sequential
+# one, so a timing-dependent divergence between domains shows on some
+# runs only.  Five passes make it fail here instead of flaking later.
+for _ in 1 2 3 4 5; do
+  dune exec test/test_obs.exe -- test profile >/dev/null
+  dune exec test/test_cluster.exe -- test validation >/dev/null
+done
+
 # Any results snapshot on disk must still be valid JSON.
 dune exec bench/main.exe -- check-results
 

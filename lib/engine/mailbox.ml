@@ -34,17 +34,3 @@ let pop t =
       v
 
 let is_empty t = Atomic.get t.head.next = None
-
-(* O(n) walk from the consumed dummy.  Exact only when both roles are
-   quiescent (e.g. at the Shard epoch barrier, where the profiler
-   samples backlog); mid-epoch it is a consumer-side lower bound.  No
-   occupancy counters live in the queue itself: the producer and the
-   consumer may be different domains racing within an epoch, and this
-   queue is modelled by dscheck — a pair of plain counter fields would
-   add exactly the kind of cross-domain non-atomic traffic the model
-   exists to exclude. *)
-let length t =
-  let rec go acc node =
-    match Atomic.get node.next with None -> acc | Some n -> go (acc + 1) n
-  in
-  go 0 t.head

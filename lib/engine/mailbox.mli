@@ -24,9 +24,3 @@ val pop : 'a t -> 'a option
 
 val is_empty : 'a t -> bool
 (** Consumer side: no value was visible at the moment of the call. *)
-
-val length : 'a t -> int
-(** Number of undelivered values visible to the consumer — an O(n)
-    walk of the queue.  Exact when both roles are quiescent (the
-    {!Shard.run} epoch barrier, where the self-profiler samples
-    mailbox occupancy); otherwise a consumer-side lower bound. *)

@@ -1,4 +1,13 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* xoshiro256** state: four 64-bit words s0..s3 at byte offsets 0, 8,
+   16 and 24 of a private 32-byte buffer.  A store to an [int64] record
+   field would box the value; these primitives read and write the raw
+   word, so native code keeps a whole step in registers and a draw
+   allocates nothing.  The layout is private and only ever read back
+   here, so native byte order is fine. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 (* splitmix64 is used for seeding: it turns any 64-bit value into a
    well-mixed sequence, which is the recommended way to initialise
@@ -11,58 +20,61 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+(* s0..s3 are four successive splitmix64 outputs. *)
+let of_splitmix state =
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64 t (8 * i) (splitmix64 state)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create seed = of_splitmix (ref (Int64.of_int seed))
 
-let rotl x k =
+let copy = Bytes.copy
+
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* One xoshiro256** step.  Inlined into every draw below, so only
+   [bits64], which hands the word out, boxes its result. *)
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set64 t 0 (logxor s0 s3);
+  set64 t 8 (logxor s1 s2);
+  set64 t 16 (logxor s2 (shift_left s1 17));
+  set64 t 24 (rotl s3 45);
   result
+
+let bits64 t = next t
 
 let split t label =
   (* Mix the parent state with the label through splitmix64 without
      advancing the parent. *)
-  let state =
-    ref
-      (Int64.add
-         (Int64.mul t.s0 0x2545F4914F6CDD1DL)
-         (Int64.add (Int64.of_int label) t.s3))
-  in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  of_splitmix
+    (ref
+       (Int64.add
+          (Int64.mul (get64 t 0) 0x2545F4914F6CDD1DL)
+          (Int64.add (Int64.of_int label) (get64 t 24))))
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Drop two bits so the value fits OCaml's 63-bit signed int. *)
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod n
 
-let float t x =
+(* [float], [normal] and [lognormal] are inlined into one another (and
+   into the other draws here), so a lognormal draw boxes at most the
+   float it finally returns. *)
+let[@inline] float t x =
   (* 53 random bits mapped to [0,1). *)
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int v /. 9007199254740992.0 *. x
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let uniform t ~lo ~hi = lo +. float t (hi -. lo)
 
@@ -71,12 +83,12 @@ let exponential t ~mean =
   let u = if u <= 0.0 then 1e-300 else u in
   -.mean *. log u
 
-let normal t ~mu ~sigma =
+let[@inline] normal t ~mu ~sigma =
   let u1 = float t 1.0 and u2 = float t 1.0 in
   let u1 = if u1 <= 0.0 then 1e-300 else u1 in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
-let lognormal t ~mu ~sigma = exp (normal t ~mu ~sigma)
+let[@inline] lognormal t ~mu ~sigma = exp (normal t ~mu ~sigma)
 
 let pareto t ~scale ~shape =
   let u = float t 1.0 in
@@ -134,13 +146,16 @@ let poisson t ~lambda =
   if lambda < 0.0 then invalid_arg "Rng.poisson: negative lambda";
   if lambda = 0.0 then 0
   else if lambda < 30.0 then begin
-    (* Knuth: multiply uniforms until below e^-lambda. *)
+    (* Knuth: multiply uniforms until below e^-lambda.  A loop over
+       local refs keeps the running product unboxed. *)
     let limit = exp (-.lambda) in
-    let rec go k p =
-      let p = p *. float t 1.0 in
-      if p <= limit then k else go (k + 1) p
-    in
-    go 0 1.0
+    let k = ref 0 in
+    let p = ref (float t 1.0) in
+    while !p > limit do
+      p := !p *. float t 1.0;
+      incr k
+    done;
+    !k
   end
   else begin
     let v = lambda +. (sqrt lambda *. normal_quantile (float t 1.0)) in

@@ -13,6 +13,14 @@
    interleaving — identical for any shard-to-domain placement, pool
    size, or no pool at all.
 
+   What a shard drains is fixed at the barrier, not by what it finds:
+   peers run the same epoch concurrently and keep posting into its
+   inboxes, so "drain until empty" would merge some of that mail now
+   and some next epoch depending on domain timing.  The coordinator
+   instead records each mailbox's cumulative post count after every
+   barrier, and each shard drains exactly up to that count; mail
+   posted during an epoch is always merged in the next one.
+
    Cross-shard messages travel through per-ordered-pair SPSC
    {!Mailbox}es.  A shard that sent a peer nothing during an epoch
    pushes a *null message* instead: a promise that nothing earlier
@@ -33,6 +41,14 @@ type 'msg t = {
   outboxes : 'msg packet Mailbox.t array;  (* indexed by destination shard *)
   sent_to : bool array;  (* real traffic per destination, this epoch *)
   promise : Units.time array;  (* per-source null-message bound *)
+  (* Mail counters, cumulative.  Each has one writer, so none is
+     shared across domains within an epoch: [posted] (per destination)
+     and [taken] (per source) belong to this shard, [quota] (per
+     source: that peer's [posted] at the last barrier) to the
+     coordinator, which writes it only while the workers are parked. *)
+  posted : int array;
+  taken : int array;
+  quota : int array;
   mutable events : int;
   mutable cross_sent : int;
   mutable nulls_sent : int;
@@ -83,6 +99,10 @@ let schedule (t : _ t) ~at handler =
          t.events <- t.events + 1;
          handler t))
 
+let post (t : _ t) ~dst packet =
+  Mailbox.push t.outboxes.(dst) packet;
+  t.posted.(dst) <- t.posted.(dst) + 1
+
 let send (t : 'msg t) ~shard ~at (payload : 'msg) =
   if shard < 0 || shard >= t.shards then
     invalid_arg "Shard.send: destination shard out of range";
@@ -94,38 +114,39 @@ let send (t : 'msg t) ~shard ~at (payload : 'msg) =
   else begin
     if at < sat_add (Sim.now t.sim) t.lookahead then
       invalid_arg "Shard.send: cross-shard message inside the lookahead window";
-    Mailbox.push t.outboxes.(shard) (Msg { at; payload });
+    post t ~dst:shard (Msg { at; payload });
     t.sent_to.(shard) <- true;
     t.cross_sent <- t.cross_sent + 1;
     if at < t.min_sent then t.min_sent <- at
   end
 
-(* One shard's share of an epoch: merge the mail received at the
-   boundary (in source-shard order — the deterministic merge), fire
+(* Merge the mail [src] posted before the last barrier: exactly
+   [quota.(src) - taken.(src)] packets, FIFO. *)
+let drain (t : _ t) ~src =
+  let box = t.inboxes.(src) in
+  for _ = t.taken.(src) + 1 to t.quota.(src) do
+    match Mailbox.pop box with
+    | None -> failwith "Shard: a packet posted before the barrier is missing"
+    | Some (Msg { at; payload }) ->
+        if at < t.promise.(src) then
+          invalid_arg "Shard: message arrived before its null promise";
+        ignore
+          (Sim.schedule t.sim ~at (fun _ ->
+               t.events <- t.events + 1;
+               t.deliver t payload))
+    | Some (Null { bound }) ->
+        if bound > t.promise.(src) then t.promise.(src) <- bound
+  done;
+  t.taken.(src) <- t.quota.(src)
+
+(* One shard's share of an epoch: merge the mail posted before the
+   barrier (in source-shard order — the deterministic merge), fire
    everything up to the horizon, then promise every silent peer a
    bound for the next epoch.  Returns (next local timestamp, earliest
    real send), the shard's contribution to the next global bound. *)
 let epoch (t : _ t) ~horizon =
   for src = 0 to t.shards - 1 do
-    if src <> t.id then begin
-      let box = t.inboxes.(src) in
-      let rec drain () =
-        match Mailbox.pop box with
-        | None -> ()
-        | Some (Msg { at; payload }) ->
-            if at < t.promise.(src) then
-              invalid_arg "Shard: message arrived before its null promise";
-            ignore
-              (Sim.schedule t.sim ~at (fun _ ->
-                   t.events <- t.events + 1;
-                   t.deliver t payload));
-            drain ()
-        | Some (Null { bound }) ->
-            if bound > t.promise.(src) then t.promise.(src) <- bound;
-            drain ()
-      in
-      drain ()
-    end
+    if src <> t.id then drain t ~src
   done;
   let before = t.events in
   Array.fill t.sent_to 0 t.shards false;
@@ -136,7 +157,7 @@ let epoch (t : _ t) ~horizon =
   let bound = sat_add (Sim.now t.sim) t.lookahead in
   for dst = 0 to t.shards - 1 do
     if dst <> t.id && not t.sent_to.(dst) then begin
-      Mailbox.push t.outboxes.(dst) (Null { bound });
+      post t ~dst (Null { bound });
       t.nulls_sent <- t.nulls_sent + 1
     end
   done;
@@ -160,6 +181,9 @@ let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
           outboxes = boxes.(i);
           sent_to = Array.make shards false;
           promise = Array.make shards 0;
+          posted = Array.make shards 0;
+          taken = Array.make shards 0;
+          quota = Array.make shards 0;
           events = 0;
           cross_sent = 0;
           nulls_sent = 0;
@@ -175,6 +199,17 @@ let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
         match sent with Some v -> min acc v | None -> acc)
       max_int reports
   in
+  (* Run on the coordinator after every barrier: fix what each shard
+     drains next epoch at the mail its peers have posted so far.  The
+     workers are parked, so every post is visible here, and the next
+     fan-out publishes the quotas to them. *)
+  let seal () =
+    for dst = 0 to shards - 1 do
+      for src = 0 to shards - 1 do
+        ts.(dst).quota.(src) <- ts.(src).posted.(dst)
+      done
+    done
+  in
   (* Round zero populates the heaps (in parallel: [init] may be the
      expensive part, e.g. per-node noise draws); every later round is
      one epoch under the freshly computed horizon. *)
@@ -188,11 +223,12 @@ let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
            (Sim.next_time t.sim, None))
          ids)
   in
+  seal ();
   (* The observer fires on the coordinator, after the epoch barrier:
-     the parked workers' writes to the shard counters and mailboxes
-     happen-before these reads, and the values themselves are
-     protocol-determined, so the sample stream is identical for
-     sequential and [-j N] runs. *)
+     the parked workers' writes to the shard counters happen-before
+     these reads, and since each epoch drains exactly the mail sealed
+     at the barrier before it, the values are protocol-determined and
+     the sample stream is identical for sequential and [-j N] runs. *)
   let observe =
     match observer with
     | None -> fun ~g:_ ~horizon:_ -> ()
@@ -207,10 +243,10 @@ let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
           and cross = sum (fun t -> t.cross_sent)
           and nulls = sum (fun t -> t.nulls_sent)
           and stalls = sum (fun t -> t.stalls) in
-          let backlog = ref 0 in
-          Array.iter
-            (Array.iter (fun box -> backlog := !backlog + Mailbox.length box))
-            boxes;
+          let total a = Array.fold_left ( + ) 0 a in
+          let backlog =
+            sum (fun t -> total t.posted) - sum (fun t -> total t.taken)
+          in
           f
             {
               sample_epoch = !epochs;
@@ -220,7 +256,7 @@ let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
               sample_cross = cross - !prev_cross;
               sample_nulls = nulls - !prev_nulls;
               sample_stalls = stalls - !prev_stalls;
-              sample_backlog = !backlog;
+              sample_backlog = backlog;
             };
           prev_events := events;
           prev_cross := cross;
@@ -236,6 +272,7 @@ let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
       let horizon = sat_add g (lookahead - 1) in
       reports :=
         Pool.parallel_map ?pool (fun i -> epoch ts.(i) ~horizon) ids;
+      seal ();
       observe ~g ~horizon
     end
   done;

@@ -24,13 +24,19 @@ let rec detour_sum rng s k acc =
 
 (* The hook fires only when the source actually struck (k > 0), so
    the disabled-path cost of instrumentation is one branch on the
-   sparse case, not a DLS read per source per window. *)
+   sparse case, not a DLS read per source per window.  The counter
+   names are built only once a recorder is known to be listening: a
+   strike is common (tens of millions per suite pass), a recorder
+   rare. *)
 let record_strikes (s : Source.t) ~k ~stolen =
-  if k > 0 then begin
-    Mk_obs.Hook.count ~subsystem:"noise" ~name:("injections:" ^ s.Source.name) k;
-    Mk_obs.Hook.count ~subsystem:"noise" ~name:("stolen_ns:" ^ s.Source.name)
-      stolen
-  end
+  if k > 0 then
+    match Mk_obs.Hook.active () with
+    | None -> ()
+    | Some r ->
+        Mk_obs.Recorder.count r ~subsystem:"noise"
+          ~name:("injections:" ^ s.Source.name) k;
+        Mk_obs.Recorder.count r ~subsystem:"noise"
+          ~name:("stolen_ns:" ^ s.Source.name) stolen
 
 let source_delay rng s ~dur =
   let k = occurrences rng s ~dur in
@@ -47,24 +53,27 @@ let delay profile rng ~dur = delay_sum rng ~dur 0 profile.Profile.sources
 let inflate profile rng ~dur = dur + delay profile rng ~dur
 
 (* Sample the maximum of [ranks] iid Poisson(lambda) variables by
-   inverse CDF at u^(1/ranks). *)
-let max_poisson rng ~lambda ~ranks =
+   inverse CDF at u^(1/ranks).  Inlined into [max_delay_sum], so
+   [lambda] is not boxed to be passed in. *)
+let[@inline] max_poisson rng ~lambda ~ranks =
   if lambda <= 0.0 then 0
   else begin
     let u = Rng.float rng 1.0 in
     let u = if u <= 0.0 then 1e-12 else u in
     let target = u ** (1.0 /. float_of_int ranks) in
     if lambda < 60.0 then begin
-      (* Walk the CDF. *)
-      let rec go k pmf cdf =
-        if cdf >= target || k > 10_000 then k
-        else begin
-          let pmf' = pmf *. lambda /. float_of_int (k + 1) in
-          go (k + 1) pmf' (cdf +. pmf')
-        end
-      in
-      let p0 = exp (-.lambda) in
-      go 0 p0 p0
+      (* Walk the CDF.  A loop over local refs, which native code
+         keeps unboxed in registers; a local recursive walk would
+         allocate its closure and box [pmf] and [cdf] at every step. *)
+      let k = ref 0 in
+      let pmf = ref (exp (-.lambda)) in
+      let cdf = ref !pmf in
+      while !cdf < target && !k <= 10_000 do
+        pmf := !pmf *. lambda /. float_of_int (!k + 1);
+        cdf := !cdf +. !pmf;
+        incr k
+      done;
+      !k
     end
     else begin
       (* Normal approximation to the Poisson. *)

@@ -102,6 +102,21 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
 
+(* Known answers: the tests above compare generators with each other,
+   so a state-layout change that moved every stream at once would pass
+   them.  These pin the stream itself; every committed simulator
+   output depends on it. *)
+let test_rng_known_answers () =
+  let first4 rng = List.init 4 (fun _ -> Rng.bits64 rng) in
+  Alcotest.(check (list int64)) "create 42"
+    [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L;
+      0xecb8ad4703b360a1L ]
+    (first4 (Rng.create 42));
+  Alcotest.(check (list int64)) "split (create 42) 1000"
+    [ 0x7ee57fb8bab8ddd5L; 0x3ab81d9a8d3ec28cL; 0x9c9253ef8b68dc62L;
+      0x5a3a469a18c246a0L ]
+    (first4 (Rng.split (Rng.create 42) 1000))
+
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
@@ -1213,6 +1228,7 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "normal moments" `Quick test_rng_normal_moments;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
         ] );
       ( "heap",
         Alcotest.test_case "ordering" `Quick test_heap_ordering

@@ -98,6 +98,45 @@ let test_determinism () =
   in
   Alcotest.(check (list int)) "same seed same stream" (run ()) (run ())
 
+(* The Cluster_des draw: a 2 ms window gating 64 ranks. *)
+let draw_sum profile =
+  let rng = Rng.create 42 in
+  let total = ref 0 in
+  for _ = 1 to 1_000 do
+    total := !total + Injector.max_delay profile rng ~dur:(2 * Units.ms) ~ranks:64
+  done;
+  !total
+
+(* Known answers for the draw path, so a change to the sampler or to
+   the generator underneath that keeps [test_determinism] green but
+   moves the stream still fails. *)
+let test_max_delay_known_answers () =
+  check_int "linux_default" 150_895_691 (draw_sum Profile.linux_default);
+  check_int "mos_lwk" 218_038 (draw_sum Profile.mos_lwk)
+
+(* The draw runs once per node per synchronisation point, so its
+   minor-heap traffic is the simulator's allocation rate.  Only native
+   code unboxes floats and int64s, so the budget holds there alone. *)
+let test_max_delay_alloc_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  check_bool "no recorder installed" true (Mk_obs.Hook.active () = None);
+  let words_per_draw profile =
+    let rng = Rng.create 42 in
+    let draws = 1_000 in
+    ignore (Injector.max_delay profile rng ~dur:(2 * Units.ms) ~ranks:64);
+    let before = Gc.minor_words () in
+    for _ = 1 to draws do
+      ignore
+        (Sys.opaque_identity
+           (Injector.max_delay profile rng ~dur:(2 * Units.ms) ~ranks:64))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int draws
+  in
+  let linux = words_per_draw Profile.linux_default
+  and mos = words_per_draw Profile.mos_lwk in
+  if linux > 64.0 then Alcotest.failf "linux_default: %.1f words/draw > 64" linux;
+  if mos > 8.0 then Alcotest.failf "mos_lwk: %.1f words/draw > 8" mos
+
 
 (* ------------------------------------------------------------------ *)
 (* FTQ *)
@@ -164,5 +203,9 @@ let () =
              test_max_delay_ranks_one_matches_delay
         :: Alcotest.test_case "bad ranks" `Quick test_max_delay_rejects_bad_ranks
         :: Alcotest.test_case "determinism" `Quick test_determinism
+        :: Alcotest.test_case "max_delay known answers" `Quick
+             test_max_delay_known_answers
+        :: Alcotest.test_case "max_delay allocation budget" `Quick
+             test_max_delay_alloc_budget
         :: qsuite [ delay_nonnegative ] );
     ]
