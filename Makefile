@@ -33,15 +33,18 @@ doc:
 	dune build @doc
 
 # The observability determinism gate from ci.sh, standalone: one traced
-# comparison twice (sequential, -j 2), byte-compared and JSON-checked.
+# comparison twice (sequential, -j 2) into a temp dir, byte-compared
+# with each other and with the committed bench/results/trace-smoke-seq.json,
+# and JSON-checked.
 trace-smoke:
-	mkdir -p bench/results
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; set -e; \
 	dune exec simos -- trace --app minife --nodes 4 --runs 2 --seed 42 \
-	  --jobs 1 -o bench/results/trace-smoke-seq.json >/dev/null
+	  --jobs 1 -o "$$tmp/seq.json" >/dev/null; \
 	dune exec simos -- trace --app minife --nodes 4 --runs 2 --seed 42 \
-	  --jobs 2 -o bench/results/trace-smoke-par.json >/dev/null
-	cmp bench/results/trace-smoke-seq.json bench/results/trace-smoke-par.json
-	dune exec bench/main.exe -- check-json bench/results/trace-smoke-seq.json
+	  --jobs 2 -o "$$tmp/par.json" >/dev/null; \
+	cmp "$$tmp/seq.json" "$$tmp/par.json"; \
+	cmp "$$tmp/seq.json" bench/results/trace-smoke-seq.json; \
+	dune exec bench/main.exe -- check-json "$$tmp/seq.json"
 
 # The robustness gate from ci.sh, standalone: deterministic
 # harness-fault injection (retry, quarantine, kill-and-resume,

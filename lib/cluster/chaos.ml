@@ -218,7 +218,7 @@ let journal_roundtrip () =
        record-only mode replays nothing: %b"
       loaded torn (k1 = Some (v 3)) (norecall = None) )
 
-(* 5. Flight recorder: kill one cell and require its black box on
+(* 5. The flight recorder: kill one cell and require its black box on
    disk — parseable, attributing exactly the killed cell (key and
    label), carrying a non-empty Perfetto trace — and nothing dumped
    for the cells that survived. *)

@@ -17,9 +17,10 @@
     - {b journal-round-trip}: append/reopen/replay, duplicate keys
       resolve to the latest entry, record-only mode never replays;
     - {b flight-recorder}: a killed cell leaves a parseable
-      [flight-<cell_key>.json] black box behind ({!Mk_obs.Flight})
-      that attributes exactly the killed cell and carries a non-empty
-      Perfetto trace, and surviving cells dump nothing.
+      [flight-<cell_key>.json] black box behind
+      ({!Mk_obs.Recorder.black_box}) that attributes exactly the
+      killed cell and carries a non-empty Perfetto trace, and
+      surviving cells dump nothing.
 
     Everything is seeded and simulated — no processes are killed, no
     wall clock is read — so the gate ([simos chaos --smoke], wired

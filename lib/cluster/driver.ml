@@ -298,12 +298,6 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
   with_obs obs (fun r ->
       Mk_obs.Recorder.span r ~ts:0 ~dur:setup_time ~node:0 ~tid:0 ~cat:"phase"
         ~name:"setup" ());
-  (* Flight mirrors are unconditional: the supervised path runs with
-     obs = None (journal mode refuses --trace/--metrics), which is
-     exactly when the black box matters.  Each is a no-op DLS read
-     when no ring is armed. *)
-  Mk_obs.Flight.record_span ~ts:0 ~dur:setup_time ~node:0 ~tid:0 ~cat:"phase"
-    ~name:"setup" ();
 
   (* --- Static per-iteration pieces --------------------------------- *)
   let phases = app.Mk_apps.App.iteration ~nodes in
@@ -447,11 +441,6 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
                     Mk_obs.Recorder.instant r ~ts:start ~node:n ~tid:0
                       ~cat:"fault" ~name:"node-crash" ())
                   crashed);
-            List.iter
-              (fun n ->
-                Mk_obs.Flight.record_instant ~ts:start ~node:n ~cat:"fault"
-                  ~name:"node-crash" ())
-              crashed;
             if nodes > 1 then begin
               let detect =
                 List.length crashed * Mk_fault.Retry.give_up_time mpi_policy
@@ -476,8 +465,6 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
                 with_obs obs (fun r ->
                     Mk_obs.Recorder.instant r ~ts:c ~node:n ~tid:0 ~cat:"fault"
                       ~name:"proxy-respawn" ());
-                Mk_obs.Flight.record_instant ~ts:c ~node:n ~cat:"fault"
-                  ~name:"proxy-respawn" ();
                 clocks.(n) <-
                   c
                   + Mk_fault.Retry.give_up_time os.Mk_kernel.Os.resilience
@@ -542,9 +529,6 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
             Mk_obs.Recorder.count_node r ~node:!straggler ~subsystem:"mpi"
               ~name:"straggler" 1);
       let before = max_alive clocks in
-      if !max_skew > 0 then
-        Mk_obs.Flight.record_count ~ts:before ~node:!straggler ~subsystem:"mpi"
-          ~name:"straggler" 1;
       (match (renvs, fstate) with
       | None, _ | _, None -> (
           match sync with
@@ -578,17 +562,16 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
               end));
       let sync_cost = max_alive clocks - before in
       with_obs obs (fun r ->
-          let name =
-            match sync with `Allreduce _ -> "allreduce" | `Halo _ -> "halo"
+          (* Constant names: a black box meters nothing, and its
+             sync spans should not allocate a name either. *)
+          let name, metric =
+            match sync with
+            | `Allreduce _ -> ("allreduce", "allreduce_ns")
+            | `Halo _ -> ("halo", "halo_ns")
           in
-          Mk_obs.Recorder.observe r ~subsystem:"mpi" ~name:(name ^ "_ns")
-            sync_cost;
+          Mk_obs.Recorder.observe r ~subsystem:"mpi" ~name:metric sync_cost;
           Mk_obs.Recorder.span r ~ts:before ~dur:sync_cost ~node:0 ~tid:1
             ~cat:"mpi" ~name ());
-      Mk_obs.Flight.record_span ~ts:before ~dur:sync_cost ~node:0 ~tid:1
-        ~cat:"mpi"
-        ~name:(match sync with `Allreduce _ -> "allreduce" | `Halo _ -> "halo")
-        ();
       sync_cost_acc := !sync_cost_acc + sync_cost
     in
     List.iter apply_sync syncs;
@@ -625,12 +608,6 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
               ~name ()
         done
     | _ -> ());
-    (* [is_armed] guard: the name concatenation should not allocate on
-       unarmed runs (the ≤2% disabled-overhead budget). *)
-    if Mk_obs.Flight.is_armed () then
-      Mk_obs.Flight.record_span ~ts:start ~dur:(max_alive clocks - start)
-        ~node:0 ~tid:0 ~cat:"iter"
-        ~name:("iter " ^ string_of_int iter) ();
     iter_durations.(iter) <- max_alive clocks - start
   done;
 

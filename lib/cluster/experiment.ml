@@ -381,43 +381,39 @@ let supervised_points ?pool ?(policy = Supervise.default) ?journal ?chaos
     match replayed with
     | Some p -> `Replayed p
     | None ->
-        (* Flight recorder: a per-cell black box, armed for the whole
-           supervised extent (all attempts share one ring — the tail
-           of the last, fatal attempt survives wraparound).  Created,
-           filled and snapshotted on this worker domain only; the
-           immutable snapshot crosses to the submitter through the
-           pool barrier below. *)
-        let ring =
-          match flight_dir with
-          | None -> None
-          | Some _ ->
-              Some (Mk_obs.Flight.create ~label:(cell_label c) ~seed:c.seed ())
+        (* Black box: one bounded, non-metering recorder for the
+           whole supervised extent (all attempts share one ring — the
+           tail of the last, fatal attempt survives wraparound).
+           Created, filled and rendered on this worker domain only;
+           the immutable dump document crosses to the submitter
+           through the pool barrier below. *)
+        let box =
+          Option.map
+            (fun _ -> Mk_obs.Recorder.black_box ~label:(cell_label c) ~seed:c.seed ())
+            flight_dir
         in
-        let arm f =
-          match ring with None -> f () | Some r -> Mk_obs.Flight.with_ring r f
+        let mark fmt =
+          Printf.ksprintf
+            (fun name ->
+              Option.iter
+                (fun r ->
+                  Mk_obs.Recorder.instant r ~ts:0 ~node:0 ~tid:0 ~cat:"cell" ~name ())
+                box)
+            fmt
         in
         let out =
-          arm (fun () ->
-              Supervise.run
-                ~chaos:(fun ~attempt ->
-                  (match ring with
-                  | None -> ()
-                  | Some r ->
-                      Mk_obs.Flight.instant r ~ts:0 ~node:0 ~cat:"cell"
-                        ~name:(Printf.sprintf "attempt %d" attempt) ());
-                  chaos ~cell:i ~attempt)
-                policy
-                (fun () ->
-                  Supervise.check_budget policy ~units:(cell_units c);
-                  summarise ~nodes:c.nodes
-                    (List.init c.runs (fun r ->
-                         (match ring with
-                         | None -> ()
-                         | Some fr ->
-                             Mk_obs.Flight.instant fr ~ts:0 ~node:0 ~cat:"cell"
-                               ~name:(Printf.sprintf "repetition %d" r) ());
-                         Driver.run ?faults:c.faults ~scenario:c.scenario
-                           ~app:c.app ~nodes:c.nodes ~seed:(seed_of c r) ()))))
+          Supervise.run
+            ~chaos:(fun ~attempt ->
+              mark "attempt %d" attempt;
+              chaos ~cell:i ~attempt)
+            policy
+            (fun () ->
+              Supervise.check_budget policy ~units:(cell_units c);
+              summarise ~nodes:c.nodes
+                (List.init c.runs (fun r ->
+                     mark "repetition %d" r;
+                     Driver.run ?obs:box ?faults:c.faults ~scenario:c.scenario
+                       ~app:c.app ~nodes:c.nodes ~seed:(seed_of c r) ())))
         in
         (* Record from the worker, as soon as the cell completes: a
            kill between cells then loses nothing already done. *)
@@ -426,12 +422,13 @@ let supervised_points ?pool ?(policy = Supervise.default) ?journal ?chaos
             Mk_engine.Journal.record j ~key ~label:(cell_label c)
               (point_to_json p)
         | _ -> ());
-        let flight =
-          match (out.Supervise.result, ring) with
-          | Error _, Some r -> Some (Mk_obs.Flight.snapshot r)
+        let dump =
+          match (out.Supervise.result, box) with
+          | Error { Supervise.error; _ }, Some r ->
+              Some (Mk_obs.Recorder.black_box_json ~cell_key:key ~reason:error r)
           | _ -> None
         in
-        `Computed (out, flight)
+        `Computed (out, dump)
   in
   let raw = Mk_engine.Pool.parallel_map_result ?pool task indexed in
   let zero =
@@ -447,14 +444,11 @@ let supervised_points ?pool ?(policy = Supervise.default) ?journal ?chaos
   (* Black-box dumps happen here, on the submitting domain after the
      barrier — one writer, cell order, through the same crash-safe
      rename as every other artifact. *)
-  let dump_flight ~key ~error flight =
-    match (flight_dir, flight) with
-    | Some dir, Some snap ->
-        Mk_engine.Atomic_file.write
-          (flight_path ~dir ~key)
-          (Mk_engine.Json.to_string_pretty
-             (Mk_obs.Flight.to_json ~cell_key:key ~reason:error snap)
-          ^ "\n")
+  let dump_flight ~key dump =
+    match (flight_dir, dump) with
+    | Some dir, Some doc ->
+        Mk_engine.Atomic_file.write (flight_path ~dir ~key)
+          (Mk_engine.Json.to_string_pretty doc ^ "\n")
     | _ -> ()
   in
   let s =
@@ -467,7 +461,7 @@ let supervised_points ?pool ?(policy = Supervise.default) ?journal ?chaos
               outcomes = (c, Completed p) :: acc.outcomes;
               replayed = acc.replayed + 1;
             }
-        | Ok (`Computed (out, flight)) -> (
+        | Ok (`Computed (out, dump)) -> (
             let retries = acc.retries + out.Supervise.attempts - 1 in
             let backoff_ns = acc.backoff_ns + out.Supervise.backoff_ns in
             match out.Supervise.result with
@@ -480,7 +474,7 @@ let supervised_points ?pool ?(policy = Supervise.default) ?journal ?chaos
                   backoff_ns;
                 }
             | Error { Supervise.error; attempts } ->
-                dump_flight ~key ~error flight;
+                dump_flight ~key dump;
                 {
                   acc with
                   outcomes = (c, Quarantined { error; attempts }) :: acc.outcomes;

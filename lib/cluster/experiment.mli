@@ -244,11 +244,13 @@ val supervised_points :
     from it on resume; a replayed cell is bit-identical to a
     recomputed one.  [chaos] injects a fault before attempt
     [attempt] of cell [cell] (input index) — the {!Chaos} harness
-    hook.  [flight_dir] arms a per-cell {!Mk_obs.Flight} ring for
-    every computed cell; when a cell is quarantined its last
-    {!Mk_obs.Flight.default_capacity} events are dumped crash-safely
-    to {!flight_path} (submitter-side, after the barrier), so the
-    quarantine report is never the only evidence.  Emits
+    hook.  [flight_dir] arms a {!Mk_obs.Recorder.black_box} for
+    every computed cell and passes it to {!Driver.run} as [~obs], so
+    while the cell runs it shadows any ambient {!Mk_obs.Hook}
+    recorder; when a cell is quarantined the box's last 512 events
+    are dumped crash-safely to {!flight_path} (submitter-side, after
+    the barrier), so the quarantine report is never the only
+    evidence.  Emits
     [supervise/journal_hits,retries,quarantines] counters through
     {!Mk_obs.Hook} after the barrier.  Raises [Invalid_argument] if
     any cell has [runs <= 0]. *)

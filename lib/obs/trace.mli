@@ -22,7 +22,11 @@ type event = {
 
 type t
 
-val create : unit -> t
+val create : ?capacity:int -> unit -> t
+(** Unbounded by default.  [capacity] makes the trace a ring that
+    keeps only the last [capacity] events, each with its original
+    [seq], so a gap before the first kept event shows what wraparound
+    dropped.  Raises [Invalid_argument] if [capacity <= 0]. *)
 
 val span :
   t ->
@@ -48,9 +52,13 @@ val instant :
   unit
 
 val events : t -> event list
-(** In record order. *)
+(** In record order; a bounded trace returns its surviving events. *)
 
 val length : t -> int
+(** Events recorded since {!create}, wraparound included. *)
+
+val capacity : t -> int option
+(** [None] for an unbounded trace. *)
 
 val compare_event : event -> event -> int
 (** [(ts, seq)] lexicographic — the only order traces are merged or

@@ -210,7 +210,25 @@ let test_hook_ambient () =
     (Metrics.counter (Recorder.metrics r) (key ~kernel:"k" ~subsystem:"s" ~name:"c" ()));
   check_int "node count" 1
     (Metrics.counter (Recorder.metrics r)
-       (key ~node:0 ~kernel:"k" ~subsystem:"s" ~name:"c" ()))
+       (key ~node:0 ~kernel:"k" ~subsystem:"s" ~name:"c" ()));
+  (* Nested installs: the inner recorder shadows the outer one, which
+     is restored afterwards and never sees the inner samples. *)
+  let outer = Recorder.make ~label:"outer" ~nodes:1 ~seed:0 () in
+  let inner = Recorder.make ~label:"inner" ~nodes:1 ~seed:0 () in
+  let active_label () = Option.map Recorder.label (Hook.active ()) in
+  Hook.with_recorder outer (fun () ->
+      Hook.count ~subsystem:"s" ~name:"c" 1;
+      Hook.with_recorder inner (fun () ->
+          check_bool "inner shadows outer" true (active_label () = Some "inner");
+          Hook.count ~subsystem:"s" ~name:"c" 1);
+      check_bool "outer restored" true (active_label () = Some "outer");
+      Hook.count ~subsystem:"s" ~name:"c" 1);
+  check_bool "restored to disabled" true (Hook.active () = None);
+  let c r = Metrics.counter (Recorder.metrics r) in
+  check_int "outer saw its two samples" 2
+    (c outer (key ~kernel:"outer" ~subsystem:"s" ~name:"c" ()));
+  check_int "inner saw one" 1
+    (c inner (key ~kernel:"inner" ~subsystem:"s" ~name:"c" ()))
 
 (* ------------------------------------------------------------------ *)
 (* Attribution fixtures: a known 2-node scenario yields exact counts *)
@@ -341,62 +359,96 @@ let test_trace_nonempty () =
   check_bool "metrics non-trivial" true (String.length metrics > 100)
 
 (* ------------------------------------------------------------------ *)
-(* Flight: bounded ring, ambient arming, dump shape *)
+(* The flight recorder: the bounded, non-metering black box *)
 
 let test_flight_under_capacity () =
-  let r = Flight.create ~capacity:8 ~label:"cell" ~seed:7 () in
-  Flight.span r ~ts:0 ~dur:10 ~node:0 ~tid:0 ~cat:"phase" ~name:"setup" ();
-  Flight.instant r ~ts:5 ~node:1 ~cat:"fault" ~name:"crash" ();
-  Flight.count r ~ts:9 ~node:0 ~subsystem:"mpi" ~name:"straggler" 3;
-  let s = Flight.snapshot r in
-  check_int "recorded" 3 s.Flight.snap_recorded;
-  check_int "kept" 3 (List.length s.Flight.snap_entries);
-  check_int "dropped" 0 (Flight.dropped s);
-  check_bool "seqs in append order" true
-    (List.map fst s.Flight.snap_entries = [ 0; 1; 2 ]);
-  check_bool "entries in append order" true
-    (List.map (fun (_, e) -> e.Flight.e_name) s.Flight.snap_entries
-    = [ "setup"; "crash"; "straggler" ])
+  let r = Recorder.black_box ~label:"cell" ~seed:7 () in
+  check_bool "does not meter" false (Recorder.meters r);
+  Recorder.span r ~ts:0 ~dur:10 ~node:0 ~tid:0 ~cat:"phase" ~name:"setup" ();
+  Recorder.instant r ~ts:5 ~node:1 ~tid:0 ~cat:"fault" ~name:"crash" ();
+  Recorder.count r ~subsystem:"mpi" ~name:"straggler" 3;
+  Recorder.observe r ~subsystem:"mpi" ~name:"allreduce_ns" 9;
+  Recorder.gauge r ~subsystem:"ikc" ~name:"proxy_queue_ns" 4;
+  let s = Recorder.snapshot r in
+  check_bool "metrics dropped" true (s.Recorder.snap_metrics = []);
+  check_bool "seqs in record order" true
+    (List.map (fun e -> e.Trace.seq) s.Recorder.snap_events = [ 0; 1 ]);
+  check_bool "events in record order" true
+    (List.map (fun e -> e.Trace.name) s.Recorder.snap_events
+    = [ "setup"; "crash" ])
 
+(* The black box is armed through the one ambient slot: instrumented
+   code reaches it via [Hook.active], it drops every metric sample,
+   and a nested box shadows, then restores, the outer one.  A run
+   given a box arms it only for its own extent: the recorder installed
+   around the run is restored with its cursor and counters untouched. *)
 let test_flight_ambient () =
-  check_bool "starts unarmed" true (not (Flight.is_armed ()));
-  (* Unarmed record_* calls must be silent no-ops. *)
-  Flight.record_instant ~ts:0 ~node:0 ~cat:"c" ~name:"dropped" ();
-  let outer = Flight.create ~capacity:4 ~label:"outer" ~seed:0 () in
-  let inner = Flight.create ~capacity:4 ~label:"inner" ~seed:0 () in
-  Flight.with_ring outer (fun () ->
-      check_bool "armed inside" true (Flight.is_armed ());
-      Flight.record_instant ~ts:1 ~node:0 ~cat:"c" ~name:"a" ();
-      (* Nested arming shadows, then restores, the outer ring. *)
-      Flight.with_ring inner (fun () ->
-          Flight.record_instant ~ts:2 ~node:0 ~cat:"c" ~name:"b" ());
-      Flight.record_instant ~ts:3 ~node:0 ~cat:"c" ~name:"d" ());
-  check_bool "restored to unarmed" true (not (Flight.is_armed ()));
-  check_int "outer saw its two events" 2 (Flight.recorded outer);
-  check_int "inner saw one" 1 (Flight.recorded inner)
+  check_bool "starts unarmed" true (Hook.active () = None);
+  let record name =
+    Option.iter
+      (fun r -> Recorder.instant r ~ts:0 ~node:0 ~tid:0 ~cat:"c" ~name ())
+      (Hook.active ())
+  in
+  record "dropped" (* unarmed: a no-op *);
+  let recorded r = List.length (Recorder.snapshot r).Recorder.snap_events in
+  let outer = Recorder.black_box ~label:"outer" ~seed:0 () in
+  let inner = Recorder.black_box ~label:"inner" ~seed:0 () in
+  Hook.with_recorder outer (fun () ->
+      check_bool "armed inside" true (Hook.active () <> None);
+      record "a";
+      Hook.count ~subsystem:"s" ~name:"c" 1 (* metered by nobody *);
+      Hook.with_recorder inner (fun () -> record "b");
+      record "d");
+  check_bool "restored to unarmed" true (Hook.active () = None);
+  check_int "outer saw its two events" 2 (recorded outer);
+  check_int "inner saw one" 1 (recorded inner);
+  check_bool "box meters nothing" true
+    ((Recorder.snapshot outer).Recorder.snap_metrics = []);
+  let around = Recorder.make ~label:"around" ~nodes:1 ~seed:0 () in
+  let box = Recorder.black_box ~label:"run" ~seed:42 () in
+  Hook.with_recorder around (fun () ->
+      ignore
+        (Mk_cluster.Driver.run ~obs:box ~scenario:Mk_cluster.Scenario.linux
+           ~app:(app "hpcg") ~nodes:2 ~seed:42 ());
+      check_bool "outer recorder restored" true
+        (Option.map Recorder.label (Hook.active ()) = Some "around"));
+  check_bool "run filled the box" true (recorded box > 0);
+  check_int "outer cursor unmoved" Key.job_wide (Recorder.node around);
+  check_bool "outer counters untouched" true
+    ((Recorder.snapshot around).Recorder.snap_metrics = [])
 
 let test_flight_dump_shape () =
-  let r = Flight.create ~capacity:4 ~label:"cell" ~seed:1 () in
-  for i = 0 to 9 do
-    Flight.instant r ~ts:i ~node:(i mod 2) ~cat:"c" ~name:(string_of_int i) ()
+  let r = Recorder.black_box ~label:"cell" ~seed:1 () in
+  for i = 0 to 599 do
+    Recorder.instant r ~ts:i ~node:(i mod 2) ~tid:0 ~cat:"c"
+      ~name:(string_of_int i) ()
   done;
-  let s = Flight.snapshot r in
-  check_int "events exported" 4 (List.length (Flight.to_events s));
-  match Flight.to_json ~cell_key:"k" ~reason:"why" s with
+  match Recorder.black_box_json ~cell_key:"k" ~reason:"why" r with
   | Mk_engine.Json.Obj fields -> (
       let str n =
         match List.assoc_opt n fields with
         | Some (Mk_engine.Json.String s) -> s
         | _ -> "?"
       in
+      let int n =
+        match List.assoc_opt n fields with
+        | Some (Mk_engine.Json.Int i) -> i
+        | _ -> -1
+      in
       check_string "schema" "multikernel-flight/1" (str "schema");
+      check_string "label" "cell" (str "label");
+      check_int "seed" 1 (int "seed");
       check_string "cell key" "k" (str "cell_key");
       check_string "reason" "why" (str "reason");
+      check_int "capacity" 512 (int "capacity");
+      check_int "recorded" 600 (int "recorded");
+      check_int "dropped" 88 (int "dropped");
       match List.assoc_opt "trace" fields with
       | Some (Mk_engine.Json.Obj t) -> (
           match List.assoc_opt "traceEvents" t with
           | Some (Mk_engine.Json.List evs) ->
-              check_bool "perfetto events present" true (List.length evs >= 4)
+              (* 512 kept events plus one process_name per node *)
+              check_int "perfetto events" (512 + 2) (List.length evs)
           | _ -> Alcotest.fail "traceEvents missing")
       | _ -> Alcotest.fail "trace document missing")
   | _ -> Alcotest.fail "dump is not an object"
@@ -406,23 +458,29 @@ let flight_wraparound =
     ~name:"flight ring: last-N survive any overwrite pattern" ~count:200
     QCheck.(pair (int_range 1 16) (int_range 0 200))
     (fun (capacity, n) ->
-      let r = Flight.create ~capacity ~label:"qc" ~seed:0 () in
+      let t = Trace.create ~capacity () in
+      (* Even events are spans of duration i, odd ones instants: the
+         ring must give each its own kind back. *)
       for i = 0 to n - 1 do
-        Flight.instant r ~ts:i ~node:0 ~cat:"c" ~name:(string_of_int i) ()
+        let name = string_of_int i in
+        if i mod 2 = 0 then
+          Trace.span t ~ts:i ~dur:i ~pid:i ~tid:0 ~cat:"c" ~name ()
+        else Trace.instant t ~ts:i ~pid:i ~tid:0 ~cat:"c" ~name ()
       done;
-      let s = Flight.snapshot r in
       let kept = min n capacity in
-      s.Flight.snap_recorded = n
-      && Flight.dropped s = n - kept
-      && List.length s.Flight.snap_entries = kept
+      let evs = Trace.events t in
+      Trace.length t = n
+      && Trace.capacity t = Some capacity
+      && List.length evs = kept
       && List.for_all2
-           (fun j (seq, e) ->
+           (fun j (e : Trace.event) ->
              let expect = n - kept + j in
-             seq = expect
-             && e.Flight.e_ts = expect
-             && e.Flight.e_name = string_of_int expect)
-           (List.init kept Fun.id)
-           s.Flight.snap_entries)
+             e.Trace.seq = expect
+             && e.Trace.ts = expect
+             && e.Trace.pid = expect
+             && e.Trace.dur = (if expect mod 2 = 0 then Some expect else None)
+             && e.Trace.name = string_of_int expect)
+           (List.init kept Fun.id) evs)
 
 (* A quarantined cell's black box must be byte-identical between a
    sequential and an oversubscribed parallel supervised run — the
@@ -467,6 +525,55 @@ let flight_dump_identity =
       let pool = Mk_engine.Pool.create ~oversubscribe:true ~num_domains:2 () in
       Fun.protect ~finally:(fun () -> Mk_engine.Pool.shutdown pool) @@ fun () ->
       flight_dump_bytes seed = flight_dump_bytes ~pool seed)
+
+(* A cell that raises inside Driver.run: its black box holds the
+   Driver's own events up to the failure, not just the supervisor's
+   markers. *)
+let test_flight_driver_death () =
+  let hpcg = app "hpcg" in
+  let failing ~nodes:_ ~iteration =
+    if iteration = 3 then failwith "trace: iteration 3" else []
+  in
+  let cell =
+    {
+      Mk_cluster.Experiment.scenario = Mk_cluster.Scenario.linux;
+      app = { hpcg with Mk_apps.App.trace = Some failing };
+      nodes = 4;
+      faults = None;
+      runs = 1;
+      seed = 42;
+    }
+  in
+  with_temp_dir "mkflightdrv" @@ fun dir ->
+  let s = Mk_cluster.Experiment.supervised_points ~flight_dir:dir [ cell ] in
+  check_int "quarantined" 1 s.Mk_cluster.Experiment.quarantined;
+  let path =
+    Mk_cluster.Experiment.flight_path ~dir
+      ~key:(Mk_cluster.Experiment.cell_key cell)
+  in
+  let names =
+    match Mk_engine.Atomic_file.read_json path with
+    | Mk_engine.Json.Obj fields -> (
+        match List.assoc_opt "trace" fields with
+        | Some (Mk_engine.Json.Obj t) -> (
+            match List.assoc_opt "traceEvents" t with
+            | Some (Mk_engine.Json.List evs) ->
+                List.filter_map
+                  (function
+                    | Mk_engine.Json.Obj e -> (
+                        match List.assoc_opt "name" e with
+                        | Some (Mk_engine.Json.String n) -> Some n
+                        | _ -> None)
+                    | _ -> None)
+                  evs
+            | _ -> [])
+        | _ -> [])
+    | _ -> []
+  in
+  List.iter
+    (fun n -> check_bool ("dump names " ^ n) true (List.mem n names))
+    [ "repetition 0"; "setup"; "allreduce"; "iter 2" ];
+  check_bool "nothing after the failure" false (List.mem "iter 3" names)
 
 (* ------------------------------------------------------------------ *)
 (* Profile: bucket folding and the deterministic document *)
@@ -594,7 +701,11 @@ let () =
           Alcotest.test_case "ambient arm/restore" `Quick test_flight_ambient;
           Alcotest.test_case "dump shape" `Quick test_flight_dump_shape;
         ]
-        @ qsuite [ flight_wraparound; flight_dump_identity ] );
+        @ qsuite [ flight_wraparound; flight_dump_identity ]
+        @ [
+            Alcotest.test_case "dies inside the driver" `Quick
+              test_flight_driver_death;
+          ] );
       ( "profile",
         [
           Alcotest.test_case "bucket folding" `Quick test_profile_buckets;
