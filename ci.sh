@@ -128,6 +128,24 @@ cmp "$ci_tmp/trace-seq.json" bench/results/trace-smoke-seq.json || {
 }
 dune exec bench/main.exe -- check-json "$ci_tmp/trace-seq.json"
 
+# Large-export gate: the trace-smoke reference pins a 4-node, ~100 KB
+# trace only.  perfbench's observed workload renders the traced MiniFE
+# trio at 64/256/1,024 nodes (97,650 events, 18.6 MB) and its metrics
+# document, and compares both with the digests committed under
+# perfbench/expected/ for seeds 42 and 2018.  One short pass per seed;
+# timing is not gated, only the result line's "failed": 0.
+for seed in 42 2018; do
+  result=$(python3 perfbench/run.py --workload observed --seed "$seed" \
+    --seconds 1 --trace 0 2>/dev/null | tail -n 1)
+  case $result in
+    *'"failed": 0,'*) ;;
+    *)
+      echo "ci.sh: perfbench observed (seed $seed) export differs from perfbench/expected/observed-$seed.json" >&2
+      exit 1
+      ;;
+  esac
+done
+
 # Model-checking gate (test/dscheck/): DSCheck exhaustively
 # interleaves the lock-free Deque (owner push/pop vs thief steal,
 # ring growth) and the SPSC Mailbox at atomic-operation granularity.

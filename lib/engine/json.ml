@@ -7,83 +7,158 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
+(* Rendering: top-level recursive walkers appending to one buffer, so
+   no closure, escaped copy or padding string is allocated per node. *)
+
+(* Copies each run of bytes that needs no escaping whole. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let clean = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring buf s !clean (i - !clean);
+      clean := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Printf.bprintf buf "\\u%04x" (Char.code c)
+    end
+  done;
+  Buffer.add_substring buf s !clean (n - !clean)
+
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  add_escaped buf s;
   Buffer.contents buf
+
+(* The C primitive behind Printf's ["%.17g"] and ["%.1f"]: calling it
+   directly gives the same bytes without Printf's format interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
+  if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
+  else format_float "%.17g" f
 
-let rec render ~indent ~level buf t =
-  let pad n = if indent then Buffer.add_string buf (String.make (2 * n) ' ') in
-  let newline () = if indent then Buffer.add_char buf '\n' in
-  match t with
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_repr f)
-  | String s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
-  | List [] -> Buffer.add_string buf "[]"
-  | List items ->
-      Buffer.add_char buf '[';
-      newline ();
-      List.iteri
-        (fun i item ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            newline ()
-          end;
-          pad (level + 1);
-          render ~indent ~level:(level + 1) buf item)
-        items;
-      newline ();
-      pad level;
-      Buffer.add_char buf ']'
-  | Obj [] -> Buffer.add_string buf "{}"
-  | Obj fields ->
-      Buffer.add_char buf '{';
-      newline ();
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            newline ()
-          end;
-          pad (level + 1);
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf (if indent then "\": " else "\":");
-          render ~indent ~level:(level + 1) buf v)
-        fields;
-      newline ();
-      pad level;
-      Buffer.add_char buf '}'
+(* One rendering: the buffer, the layout and a direct-mapped memo of
+   recently printed floats (a trace repeats its timestamps and
+   durations: 72 % of a 195,300-float trace hit).  The memo is keyed
+   by bit pattern, never by [=]: [0.0] and [-0.0] are equal but print
+   differently, and NaNs print by sign.  Slots start as [0.0],
+   already rendered, so an empty slot needs no marker. *)
+type out = {
+  buf : Buffer.t;
+  indent : bool;
+  keys : Float.Array.t;
+  reprs : string array;
+}
 
-let to_string t =
-  let buf = Buffer.create 256 in
-  render ~indent:false ~level:0 buf t;
-  Buffer.contents buf
+let memo_slots = 64
 
-let to_string_pretty t =
-  let buf = Buffer.create 256 in
-  render ~indent:true ~level:0 buf t;
-  Buffer.contents buf
+let add_float o f =
+  let bits = Int64.bits_of_float f in
+  let h = Int64.to_int bits in
+  let i = (h lxor (h lsr 32)) land (memo_slots - 1) in
+  if Int64.bits_of_float (Float.Array.unsafe_get o.keys i) = bits then
+    Buffer.add_string o.buf (Array.unsafe_get o.reprs i)
+  else begin
+    let s = float_repr f in
+    Float.Array.unsafe_set o.keys i f;
+    Array.unsafe_set o.reprs i s;
+    Buffer.add_string o.buf s
+  end
+
+(* Indentation is cut from one shared string of spaces. *)
+let spaces = String.make 64 ' '
+
+let rec add_spaces buf n =
+  if n > 0 then begin
+    let k = min n (String.length spaces) in
+    Buffer.add_substring buf spaces 0 k;
+    add_spaces buf (n - k)
+  end
+
+let newline o level =
+  if o.indent then begin
+    Buffer.add_char o.buf '\n';
+    add_spaces o.buf (2 * level)
+  end
+
+(* Digits straight into the buffer: [string_of_int] is a C call and a
+   fresh string per int. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+let add_int buf i =
+  if i >= 0 then add_digits buf i else Buffer.add_string buf (string_of_int i)
+
+let add_string o s =
+  Buffer.add_char o.buf '"';
+  add_escaped o.buf s;
+  Buffer.add_char o.buf '"'
+
+let rec value o level = function
+  | Null -> Buffer.add_string o.buf "null"
+  | Bool b -> Buffer.add_string o.buf (if b then "true" else "false")
+  | Int i -> add_int o.buf i
+  | Float f -> add_float o f
+  | String s -> add_string o s
+  | List [] -> Buffer.add_string o.buf "[]"
+  | List (x :: xs) ->
+      Buffer.add_char o.buf '[';
+      newline o (level + 1);
+      value o (level + 1) x;
+      items o (level + 1) xs;
+      newline o level;
+      Buffer.add_char o.buf ']'
+  | Obj [] -> Buffer.add_string o.buf "{}"
+  | Obj ((k, v) :: kvs) ->
+      Buffer.add_char o.buf '{';
+      newline o (level + 1);
+      field o (level + 1) k v;
+      fields o (level + 1) kvs;
+      newline o level;
+      Buffer.add_char o.buf '}'
+
+and items o level = function
+  | [] -> ()
+  | x :: xs ->
+      Buffer.add_char o.buf ',';
+      newline o level;
+      value o level x;
+      items o level xs
+
+and field o level k v =
+  add_string o k;
+  Buffer.add_string o.buf (if o.indent then ": " else ":");
+  value o level v
+
+and fields o level = function
+  | [] -> ()
+  | (k, v) :: kvs ->
+      Buffer.add_char o.buf ',';
+      newline o level;
+      field o level k v;
+      fields o level kvs
+
+let render ~indent t =
+  let o =
+    {
+      buf = Buffer.create 256;
+      indent;
+      keys = Float.Array.make memo_slots 0.0;
+      reprs = Array.make memo_slots (float_repr 0.0);
+    }
+  in
+  value o 0 t;
+  Buffer.contents o.buf
+
+let to_string t = render ~indent:false t
+let to_string_pretty t = render ~indent:true t
 
 (* ------------------------------------------------------------------ *)
 (* Parsing: recursive descent over the byte string.                    *)
@@ -123,11 +198,43 @@ let of_string s =
       Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
       Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
     end
-    else begin
+    else if code < 0x10000 then begin
       Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
       Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
       Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
     end
+    else begin
+      Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
+      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
+      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+    end
+  in
+  let hex4 () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let code =
+      match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
+      | Some c -> c
+      | None -> fail "bad \\u escape"
+    in
+    pos := !pos + 4;
+    code
+  in
+  let is_low code = code >= 0xDC00 && code <= 0xDFFF in
+  (* A code point above U+FFFF arrives as a high/low surrogate pair of
+     escapes; either half alone is not a character. *)
+  let unicode_escape buf =
+    let code = hex4 () in
+    if is_low code then fail "unpaired low surrogate"
+    else if code >= 0xD800 && code <= 0xDBFF then begin
+      if not (!pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u') then
+        fail "unpaired high surrogate";
+      pos := !pos + 2;
+      let low = hex4 () in
+      if not (is_low low) then fail "unpaired high surrogate";
+      add_utf8 buf (0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00))
+    end
+    else add_utf8 buf code
   in
   let parse_string () =
     expect '"';
@@ -168,15 +275,7 @@ let of_string s =
               incr pos
           | 'u' ->
               incr pos;
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              let code =
-                match int_of_string_opt ("0x" ^ hex) with
-                | Some c -> c
-                | None -> fail "bad \\u escape"
-              in
-              pos := !pos + 4;
-              add_utf8 buf code
+              unicode_escape buf
           | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
           go ()
       | c ->

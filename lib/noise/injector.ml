@@ -24,20 +24,16 @@ let rec detour_sum rng s k acc =
 
 (* The hook fires only when the source actually struck (k > 0), so
    the disabled-path cost of instrumentation is one branch on the
-   sparse case, not a DLS read per source per window.  The counter
-   names are built only once a metering recorder is known to be
-   listening: a strike is common (tens of millions per suite pass), a
-   metering recorder rare — a black box is armed on every journaled
-   cell, and it meters nothing. *)
+   sparse case, not a DLS read per source per window.  A strike is
+   common (tens of millions per suite pass), so its counter names are
+   the source's own, built once by [Source.make]. *)
 let record_strikes (s : Source.t) ~k ~stolen =
   if k > 0 then
     match Mk_obs.Hook.active () with
-    | Some r when Mk_obs.Recorder.meters r ->
-        Mk_obs.Recorder.count r ~subsystem:"noise"
-          ~name:("injections:" ^ s.Source.name) k;
-        Mk_obs.Recorder.count r ~subsystem:"noise"
-          ~name:("stolen_ns:" ^ s.Source.name) stolen
-    | _ -> ()
+    | Some r ->
+        Mk_obs.Recorder.count r ~subsystem:"noise" ~name:s.Source.injections_counter k;
+        Mk_obs.Recorder.count r ~subsystem:"noise" ~name:s.Source.stolen_counter stolen
+    | None -> ()
 
 let source_delay rng s ~dur =
   let k = occurrences rng s ~dur in

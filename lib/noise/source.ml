@@ -5,12 +5,21 @@ type t = {
   period : Units.time;
   duration : Units.time;
   duration_sigma : float;
+  injections_counter : string;
+  stolen_counter : string;
 }
 
 let make ~name ~period ~duration ?(duration_sigma = 0.0) () =
   if period <= 0 then invalid_arg "Source.make: period must be positive";
   if duration < 0 then invalid_arg "Source.make: negative duration";
-  { name; period; duration; duration_sigma }
+  {
+    name;
+    period;
+    duration;
+    duration_sigma;
+    injections_counter = "injections:" ^ name;
+    stolen_counter = "stolen_ns:" ^ name;
+  }
 
 let overhead t = float_of_int t.duration /. float_of_int t.period
 

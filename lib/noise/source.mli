@@ -5,13 +5,18 @@
     detour lengths lognormally — long daemon wakeups have heavy
     tails, timer ticks are nearly constant. *)
 
-type t = {
+type t = private {
   name : string;
   period : Mk_engine.Units.time;  (** mean time between occurrences *)
   duration : Mk_engine.Units.time;  (** mean detour length *)
   duration_sigma : float;
       (** lognormal sigma of individual detour lengths; 0 = constant *)
+  injections_counter : string;
+      (** ["injections:" ^ name], the metric counting strikes *)
+  stolen_counter : string;  (** ["stolen_ns:" ^ name], the metric summing detours *)
 }
+(** Private: only {!make} builds one, so the counter names always
+    match [name]. *)
 
 val make :
   name:string ->

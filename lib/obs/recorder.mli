@@ -35,8 +35,7 @@ val label : t -> string
 val metrics : t -> Metrics.t
 
 val meters : t -> bool
-(** [false] for a {!black_box}.  Hook sites that build a metric name
-    per sample check it first. *)
+(** [false] for a {!black_box}. *)
 
 val tracing : t -> bool
 

@@ -107,7 +107,12 @@ let compare_event a b =
   let c = Int.compare a.ts b.ts in
   if c <> 0 then c else Int.compare a.seq b.seq
 
-let sort evs = List.sort compare_event evs
+(* In an array: a list sort conses a new list at each of its
+   ~log2 n merge levels. *)
+let sort evs =
+  let a = Array.of_list evs in
+  Array.stable_sort compare_event a;
+  Array.to_list a
 
 (* Chrome trace-event JSON (the "JSON Array Format" with a
    [traceEvents] wrapper), loadable by Perfetto and chrome://tracing.
@@ -115,35 +120,44 @@ let sort evs = List.sort compare_event evs
    nanoseconds, so values are scaled by 1e-3. *)
 let us_of_ns ns = Json.Float (Int.to_float ns /. 1000.)
 
+(* Fields every event of a kind shares, built once. *)
+let ph_meta = ("ph", Json.String "M")
+let ph_span = ("ph", Json.String "X")
+let ph_instant = ("ph", Json.String "i")
+let thread_scope = ("s", Json.String "t")
+
 let meta ~pid ?tid ~name ~value () =
+  let args = [ ("args", Json.Obj [ ("name", Json.String value) ]) ] in
   Json.Obj
-    ([ ("name", Json.String name); ("ph", Json.String "M") ]
-    @ [ ("pid", Json.Int pid) ]
-    @ (match tid with None -> [] | Some tid -> [ ("tid", Json.Int tid) ])
-    @ [ ("args", Json.Obj [ ("name", Json.String value) ]) ])
+    (("name", Json.String name)
+    :: ph_meta
+    :: ("pid", Json.Int pid)
+    :: (match tid with None -> args | Some tid -> ("tid", Json.Int tid) :: args))
 
 let event_to_json e =
+  let tail =
+    ("pid", Json.Int e.pid)
+    :: ("tid", Json.Int e.tid)
+    :: (match e.args with [] -> [] | args -> [ ("args", Json.Obj args) ])
+  in
+  let ts = ("ts", us_of_ns e.ts) in
   Json.Obj
-    ([
-       ("name", Json.String e.name);
-       ("cat", Json.String e.cat);
-       ("ph", Json.String (match e.dur with Some _ -> "X" | None -> "i"));
-       ("ts", us_of_ns e.ts);
-     ]
-    @ (match e.dur with Some d -> [ ("dur", us_of_ns d) ] | None -> [ ("s", Json.String "t") ])
-    @ [ ("pid", Json.Int e.pid); ("tid", Json.Int e.tid) ]
-    @ match e.args with [] -> [] | args -> [ ("args", Json.Obj args) ])
+    (("name", Json.String e.name)
+    :: ("cat", Json.String e.cat)
+    ::
+    (match e.dur with
+    | Some d -> ph_span :: ts :: ("dur", us_of_ns d) :: tail
+    | None -> ph_instant :: ts :: thread_scope :: tail))
 
 let to_json ~processes ~threads evs =
-  let metas =
-    List.map (fun (pid, name) -> meta ~pid ~name:"process_name" ~value:name ()) processes
-    @ List.map
-        (fun (pid, tid, name) ->
-          meta ~pid ~tid ~name:"thread_name" ~value:name ())
-        threads
-  in
+  let process (pid, name) = meta ~pid ~name:"process_name" ~value:name () in
+  let thread (pid, tid, name) = meta ~pid ~tid ~name:"thread_name" ~value:name () in
   Json.Obj
     [
-      ("traceEvents", Json.List (metas @ List.map event_to_json (sort evs)));
+      ( "traceEvents",
+        Json.List
+          (List.map process processes
+          @ List.map thread threads
+          @ List.map event_to_json (sort evs)) );
       ("displayTimeUnit", Json.String "ns");
     ]

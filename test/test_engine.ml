@@ -438,7 +438,24 @@ let test_json_parse_escapes () =
   check_parse "escapes" (Json.String "a\"b\nc\\") "\"a\\\"b\\nc\\\\\"";
   check_parse "unicode ascii" (Json.String "A") "\"\\u0041\"";
   check_parse "unicode 2-byte" (Json.String "\xc3\xa9") "\"\\u00e9\"";
-  check_parse "unicode 3-byte" (Json.String "\xe2\x82\xac") "\"\\u20ac\""
+  check_parse "unicode 3-byte" (Json.String "\xe2\x82\xac") "\"\\u20ac\"";
+  (* U+1F600 as a surrogate pair: one 4-byte UTF-8 character *)
+  check_parse "surrogate pair" (Json.String "\xf0\x9f\x98\x80")
+    "\"\\ud83d\\ude00\"";
+  List.iter
+    (fun (msg, s) ->
+      match Json.of_string s with
+      | Error e ->
+          check_bool msg true
+            (contains_substring e "surrogate" && contains_substring e "offset")
+      | Ok _ -> Alcotest.failf "%s: accepted" msg)
+    [
+      ("lone high surrogate", "\"\\ud83d\"");
+      ("high surrogate then a character", "\"\\ud83dx\"");
+      ("high surrogate then a BMP escape", "\"\\ud83d\\u0041\"");
+      ("two high surrogates", "\"\\ud83d\\ud83d\"");
+      ("lone low surrogate", "\"\\ude00\"");
+    ]
 
 let test_json_parse_structures () =
   check_parse "nested"
@@ -478,6 +495,157 @@ let test_json_roundtrip () =
   in
   check_parse "compact" doc (Json.to_string doc);
   check_parse "pretty" doc (Json.to_string_pretty doc)
+
+(* The renderer as it was before floats were memoised and strings
+   escaped in place: per-node closures, one [Buffer] per escaped
+   string and [Printf] for every number.  Kept as the reference the
+   optimised one must equal byte for byte. *)
+module Json_reference = struct
+  let escape s =
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let float_repr f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+    else Printf.sprintf "%.17g" f
+
+  let rec render ~indent ~level buf (t : Json.t) =
+    let pad n = if indent then Buffer.add_string buf (String.make (2 * n) ' ') in
+    let newline () = if indent then Buffer.add_char buf '\n' in
+    match t with
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Float f -> Buffer.add_string buf (float_repr f)
+    | String s ->
+        Buffer.add_char buf '"';
+        Buffer.add_string buf (escape s);
+        Buffer.add_char buf '"'
+    | List [] -> Buffer.add_string buf "[]"
+    | List items ->
+        Buffer.add_char buf '[';
+        newline ();
+        List.iteri
+          (fun i item ->
+            if i > 0 then begin
+              Buffer.add_char buf ',';
+              newline ()
+            end;
+            pad (level + 1);
+            render ~indent ~level:(level + 1) buf item)
+          items;
+        newline ();
+        pad level;
+        Buffer.add_char buf ']'
+    | Obj [] -> Buffer.add_string buf "{}"
+    | Obj fields ->
+        Buffer.add_char buf '{';
+        newline ();
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then begin
+              Buffer.add_char buf ',';
+              newline ()
+            end;
+            pad (level + 1);
+            Buffer.add_char buf '"';
+            Buffer.add_string buf (escape k);
+            Buffer.add_string buf (if indent then "\": " else "\":");
+            render ~indent ~level:(level + 1) buf v)
+          fields;
+        newline ();
+        pad level;
+        Buffer.add_char buf '}'
+
+  let to_string ~indent t =
+    let buf = Buffer.create 256 in
+    render ~indent ~level:0 buf t;
+    Buffer.contents buf
+end
+
+(* Documents that stress what the optimised renderer special-cases:
+   strings over every byte value; floats whose text differs while
+   their values compare equal (0.0 and -0.0, NaNs of either sign) or
+   straddle the %.1f/%.17g switch at 1e15, subnormals and integers;
+   runs of floats drawn from a small pool, which hit and evict the
+   float memo; and nesting deeper than the renderer's 64-space
+   indentation string. *)
+let json_doc_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 12) in
+  let pool =
+    [
+      0.0; -0.0; Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity;
+      1e15; -1e15; 1e15 -. 1.0; 1e15 +. 2.0; 999_999_999_999_999.5; 1e16;
+      5e-324; 2.2250738585072009e-308; Float.min_float; Float.max_float;
+      1.0; -3.0; 0.1; 12_345.678;
+    ]
+  in
+  let float =
+    oneof
+      [
+        oneofl pool;
+        float;
+        map float_of_int int;
+        map (fun ns -> float_of_int ns /. 1000.) (0 -- 10_000_000);
+      ]
+  in
+  let int = oneof [ int; small_signed_int; oneofl [ 0; -1; min_int; max_int ] ] in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map (fun f -> Json.Float f) float;
+        map (fun s -> Json.String s) str;
+      ]
+  in
+  let run =
+    map
+      (fun fs -> Json.List (List.map (fun f -> Json.Float f) fs))
+      (list_size (20 -- 200) (oneofl (List.filteri (fun i _ -> i < 6) pool @ [ 1.0; 0.1 ])))
+  in
+  let tree =
+    sized_size (0 -- 20)
+    @@ fix (fun self n ->
+           if n = 0 then frequency [ (4, scalar); (1, run) ]
+           else
+             frequency
+               [
+                 (2, scalar);
+                 (1, run);
+                 (2, map (fun l -> Json.List l) (list_size (0 -- 5) (self (n / 2))));
+                 ( 2,
+                   map (fun kvs -> Json.Obj kvs)
+                     (list_size (0 -- 5) (pair str (self (n / 2)))) );
+               ])
+  in
+  let rec nest depth doc =
+    if depth = 0 then doc
+    else if depth mod 2 = 0 then Json.List [ nest (depth - 1) doc ]
+    else Json.Obj [ ("k", nest (depth - 1) doc) ]
+  in
+  map2 nest (frequency [ (3, return 0); (1, 30 -- 80) ]) tree
+
+let json_render_matches_reference =
+  QCheck.Test.make ~name:"rendering equals the reference renderer" ~count:500
+    (QCheck.make ~print:(Json_reference.to_string ~indent:false) json_doc_gen)
+    (fun doc ->
+      Json.to_string doc = Json_reference.to_string ~indent:false doc
+      && Json.to_string_pretty doc = Json_reference.to_string ~indent:true doc)
 
 (* ------------------------------------------------------------------ *)
 (* Atomic_file *)
@@ -1268,7 +1436,8 @@ let () =
           Alcotest.test_case "parse structures" `Quick test_json_parse_structures;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
-        ] );
+        ]
+        @ qsuite [ json_render_matches_reference ] );
       ( "atomic-file",
         [
           Alcotest.test_case "roundtrip" `Quick test_atomic_roundtrip;

@@ -114,6 +114,19 @@ let test_max_delay_known_answers () =
   check_int "linux_default" 150_895_691 (draw_sum Profile.linux_default);
   check_int "mos_lwk" 218_038 (draw_sum Profile.mos_lwk)
 
+(* Minor words per [max_delay] draw of the Cluster_des window. *)
+let words_per_draw profile =
+  let rng = Rng.create 42 in
+  let draws = 1_000 in
+  ignore (Injector.max_delay profile rng ~dur:(2 * Units.ms) ~ranks:64);
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    ignore
+      (Sys.opaque_identity
+         (Injector.max_delay profile rng ~dur:(2 * Units.ms) ~ranks:64))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int draws
+
 (* The draw runs once per node per synchronisation point, so its
    minor-heap traffic is the simulator's allocation rate.  Only native
    code unboxes floats and int64s, so the budget holds there alone.
@@ -123,18 +136,6 @@ let test_max_delay_known_answers () =
 let test_max_delay_alloc_budget () =
   if Sys.backend_type <> Sys.Native then Alcotest.skip ();
   check_bool "no recorder installed" true (Mk_obs.Hook.active () = None);
-  let words_per_draw profile =
-    let rng = Rng.create 42 in
-    let draws = 1_000 in
-    ignore (Injector.max_delay profile rng ~dur:(2 * Units.ms) ~ranks:64);
-    let before = Gc.minor_words () in
-    for _ = 1 to draws do
-      ignore
-        (Sys.opaque_identity
-           (Injector.max_delay profile rng ~dur:(2 * Units.ms) ~ranks:64))
-    done;
-    (Gc.minor_words () -. before) /. float_of_int draws
-  in
   let boxed profile =
     let box = Mk_obs.Recorder.black_box ~label:"cell" ~seed:42 () in
     Mk_obs.Hook.with_recorder box (fun () -> words_per_draw profile)
@@ -148,6 +149,31 @@ let test_max_delay_alloc_budget () =
   Alcotest.(check (float 0.0)) "mos_lwk under a black box" mos
     (boxed Profile.mos_lwk)
 
+
+(* Under a metering recorder each strike is charged to its source's
+   two counters.  Their names are built once per source, so a strike
+   allocates only the counter's key and lookup, not a name. *)
+let test_max_delay_metered_alloc_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let r = Mk_obs.Recorder.make ~label:"cell" ~nodes:1 ~seed:42 () in
+  let words =
+    Mk_obs.Hook.with_recorder r (fun () -> words_per_draw Profile.linux_default)
+  in
+  if words > 72.0 then
+    Alcotest.failf "linux_default, metered: %.3f words/draw > 72" words;
+  let metered =
+    List.map
+      (fun ((k : Mk_obs.Key.t), _) -> k.subsystem ^ "/" ^ k.name)
+      (Mk_obs.Metrics.bindings (Mk_obs.Recorder.metrics r))
+  in
+  let expected =
+    List.concat_map
+      (fun (s : Source.t) ->
+        [ "noise/injections:" ^ s.name; "noise/stolen_ns:" ^ s.name ])
+      Profile.linux_default.sources
+  in
+  Alcotest.(check (list string)) "metered keys"
+    (List.sort String.compare expected) (List.sort String.compare metered)
 
 (* ------------------------------------------------------------------ *)
 (* FTQ *)
@@ -218,5 +244,9 @@ let () =
              test_max_delay_known_answers
         :: Alcotest.test_case "max_delay allocation budget" `Quick
              test_max_delay_alloc_budget
-        :: qsuite [ delay_nonnegative ] );
+        :: qsuite [ delay_nonnegative ]
+        @ [
+            Alcotest.test_case "metered max_delay allocation budget" `Quick
+              test_max_delay_metered_alloc_budget;
+          ] );
     ]

@@ -334,6 +334,26 @@ let test_pool_stats_counters_sum () =
   check_bool "json export well-formed" true
     (match Pool_stats.to_json s with Mk_engine.Json.Obj _ -> true | _ -> false)
 
+(* The export path's allocation, pinned where it is deterministic:
+   rendering the trace-smoke document (`simos trace --app minife
+   --nodes 4 --runs 2`, ~100 KB) walks the tree without per-node
+   closures or padding strings and prints numbers without a string
+   each.  Native code only, where floats and int64s stay unboxed. *)
+let test_trace_render_alloc_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let c = Collect.create ~trace:true () in
+  ignore
+    (Mk_cluster.Experiment.compare_scenarios ~obs:c
+       ~scenarios:Mk_cluster.Scenario.trio ~app:(app "minife")
+       ~node_counts:[ 4 ] ~runs:2 ~seed:42 ());
+  let doc = Collect.trace_json c in
+  let before = Gc.minor_words () in
+  let s = Mk_engine.Json.to_string_pretty doc in
+  let per_byte = (Gc.minor_words () -. before) /. float_of_int (String.length s) in
+  check_bool "trace-smoke size" true (String.length s > 100_000);
+  if per_byte > 0.5 then
+    Alcotest.failf "rendering: %.3f minor words per output byte > 0.5" per_byte
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: sequential and -j 2 exports byte-identical *)
 
@@ -680,6 +700,8 @@ let () =
           Alcotest.test_case "chrome trace shape" `Quick test_trace_json_shape;
           Alcotest.test_case "perfetto round trip" `Quick
             test_perfetto_round_trip;
+          Alcotest.test_case "render allocation budget" `Quick
+            test_trace_render_alloc_budget;
         ] );
       ("hook", [ Alcotest.test_case "ambient sink" `Quick test_hook_ambient ]);
       ( "attribution",
