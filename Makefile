@@ -1,5 +1,5 @@
 # Convenience aliases around dune; ci.sh remains the authoritative gate.
-.PHONY: build test lint lint-json lint-sarif dscheck doc ci trace-smoke observed-digests chaos-smoke scale-smoke scale history diff
+.PHONY: build test lint lint-json lint-sarif dscheck doc ci trace-smoke perfbench-digests chaos-smoke scale-smoke scale history diff
 
 build:
 	dune build
@@ -46,18 +46,21 @@ trace-smoke:
 	cmp "$$tmp/seq.json" bench/results/trace-smoke-seq.json; \
 	dune exec bench/main.exe -- check-json "$$tmp/seq.json"
 
-# The large-export gate from ci.sh, standalone: perfbench's observed
-# workload (an 18.6 MB Perfetto trace and its metrics document) at
-# seeds 42 and 2018, one short pass each, byte-compared with the
-# digests in perfbench/expected/; fails unless "failed" is 0.
-observed-digests:
-	@for seed in 42 2018; do \
-	  result=$$(python3 perfbench/run.py --workload observed --seed $$seed \
-	    --seconds 1 --trace 0 2>/dev/null | tail -n 1); \
-	  case $$result in \
-	    *'"failed": 0,'*) echo "observed seed $$seed: digests match" ;; \
-	    *) echo "observed seed $$seed: export differs from perfbench/expected" >&2; exit 1 ;; \
-	  esac; \
+# The output-digest gate from ci.sh, standalone: every perfbench
+# workload (paper: the grid's 276 cells; des; observed: an 18.6 MB
+# Perfetto trace and its metrics document) at seeds 42 and 2018, one
+# short pass each, byte-compared with the digests in
+# perfbench/expected/; fails unless "failed" is 0.
+perfbench-digests:
+	@for workload in paper des observed; do \
+	  for seed in 42 2018; do \
+	    result=$$(python3 perfbench/run.py --workload $$workload --seed $$seed \
+	      --seconds 1 --trace 0 2>/dev/null | tail -n 1); \
+	    case $$result in \
+	      *'"failed": 0,'*) echo "$$workload seed $$seed: digests match" ;; \
+	      *) echo "$$workload seed $$seed: output differs from perfbench/expected" >&2; exit 1 ;; \
+	    esac; \
+	  done; \
 	done
 
 # The robustness gate from ci.sh, standalone: deterministic

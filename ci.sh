@@ -128,22 +128,25 @@ cmp "$ci_tmp/trace-seq.json" bench/results/trace-smoke-seq.json || {
 }
 dune exec bench/main.exe -- check-json "$ci_tmp/trace-seq.json"
 
-# Large-export gate: the trace-smoke reference pins a 4-node, ~100 KB
-# trace only.  perfbench's observed workload renders the traced MiniFE
-# trio at 64/256/1,024 nodes (97,650 events, 18.6 MB) and its metrics
-# document, and compares both with the digests committed under
-# perfbench/expected/ for seeds 42 and 2018.  One short pass per seed;
-# timing is not gated, only the result line's "failed": 0.
-for seed in 42 2018; do
-  result=$(python3 perfbench/run.py --workload observed --seed "$seed" \
-    --seconds 1 --trace 0 2>/dev/null | tail -n 1)
-  case $result in
-    *'"failed": 0,'*) ;;
-    *)
-      echo "ci.sh: perfbench observed (seed $seed) export differs from perfbench/expected/observed-$seed.json" >&2
-      exit 1
-      ;;
-  esac
+# Output-digest gate: every perfbench workload checks each simulated
+# output against the digests committed under perfbench/expected/ for
+# seeds 42 and 2018.  `paper` pins all 276 cells of the paper's grid,
+# `des` the serial and sharded DES results, and `observed` the traced
+# MiniFE trio's 18.6 MB Perfetto trace (97,650 events) and its metrics
+# document.  One short pass per workload and seed; timing is not
+# gated, only the result line's "failed": 0.
+for workload in paper des observed; do
+  for seed in 42 2018; do
+    result=$(python3 perfbench/run.py --workload "$workload" --seed "$seed" \
+      --seconds 1 --trace 0 2>/dev/null | tail -n 1)
+    case $result in
+      *'"failed": 0,'*) ;;
+      *)
+        echo "ci.sh: perfbench $workload (seed $seed) output differs from perfbench/expected/$workload-$seed.json" >&2
+        exit 1
+        ;;
+    esac
+  done
 done
 
 # Model-checking gate (test/dscheck/): DSCheck exhaustively

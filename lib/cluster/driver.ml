@@ -17,7 +17,7 @@ type result = {
   recoveries : int;
 }
 
-let max_array a = Array.fold_left max min_int a
+let max_array a = Array.fold_left Int.max min_int a
 
 (* ------------------------------------------------------------------ *)
 (* Per-node setup on the representative node                           *)
@@ -384,7 +384,9 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
     | None -> max_array a
     | Some st ->
         let m = ref min_int in
-        Array.iteri (fun i c -> if Mk_fault.State.is_alive st i then m := max !m c) a;
+        Array.iteri
+          (fun i c -> if Mk_fault.State.is_alive st i then m := Int.max !m c)
+          a;
         if !m = min_int then max_array a else !m
   in
   let recoveries = ref 0 in

@@ -90,6 +90,16 @@ let[@inline] normal t ~mu ~sigma =
 
 let[@inline] lognormal t ~mu ~sigma = exp (normal t ~mu ~sigma)
 
+(* One noise source's detours in one call.  The loop must live here:
+   the library compiles with [-opaque], so a caller in another module
+   would box every draw's float and [mu] on the way in. *)
+let lognormal_sum t ~mu ~sigma k =
+  let acc = ref 0 in
+  for _ = 1 to k do
+    acc := !acc + Int.max 0 (int_of_float (lognormal t ~mu ~sigma))
+  done;
+  !acc
+
 let pareto t ~scale ~shape =
   let u = float t 1.0 in
   let u = if u <= 0.0 then 1e-300 else u in
@@ -159,7 +169,7 @@ let poisson t ~lambda =
   end
   else begin
     let v = lambda +. (sqrt lambda *. normal_quantile (float t 1.0)) in
-    max 0 (int_of_float (Float.round v))
+    Int.max 0 (int_of_float (Float.round v))
   end
 
 let shuffle t a =

@@ -40,6 +40,12 @@ val normal : t -> mu:float -> sigma:float -> float
 val lognormal : t -> mu:float -> sigma:float -> float
 (** exp of a normal draw: heavy-ish right tail, always positive. *)
 
+val lognormal_sum : t -> mu:float -> sigma:float -> int -> int
+(** [lognormal_sum t ~mu ~sigma k] is the sum of
+    [max 0 (int_of_float x)] over [k] successive [lognormal t ~mu ~sigma]
+    draws, and leaves [t] where those [k] draws would; 0 when
+    [k <= 0].  It allocates nothing per draw. *)
+
 val pareto : t -> scale:float -> shape:float -> float
 (** Pareto type I: support [scale, inf), heavier tail for small shape. *)
 

@@ -44,4 +44,4 @@ let transfer_time ~bytes ~bw =
   if bytes <= 0 then 0
   else
     let t = float_of_int bytes /. bw in
-    max 1 (int_of_float (Float.ceil t))
+    Int.max 1 (int_of_float (Float.ceil t))

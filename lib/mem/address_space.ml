@@ -106,7 +106,6 @@ type t = {
   mutable mmap_next : int;
   stats : stats;
   mutable mcdram_used : int;
-  page_table : Page_table.t;
 }
 
 let create ~phys ~strategy ?(costs = Fault.default) ~default_policy () =
@@ -130,15 +129,12 @@ let create ~phys ~strategy ?(costs = Fault.default) ~default_policy () =
     mmap_next = mmap_base_addr;
     stats = fresh_stats ();
     mcdram_used = 0;
-    page_table = Page_table.create ();
   }
 
 let strategy t = t.strategy
 let stats t = t.stats
 
 let set_mcdram_quota t quota = t.strategy <- { t.strategy with mcdram_quota = quota }
-
-let page_table t = t.page_table
 
 (* ------------------------------------------------------------------ *)
 (* Physical chunk allocation                                           *)
@@ -150,7 +146,7 @@ let is_mcdram t domain =
 let quota_room t =
   match t.strategy.mcdram_quota with
   | None -> max_int
-  | Some q -> max 0 (q - t.mcdram_used)
+  | Some q -> Int.max 0 (q - t.mcdram_used)
 
 let pow2_floor n =
   let rec go p = if p * 2 <= n then go (p * 2) else p in
@@ -162,7 +158,7 @@ let pow2_floor n =
    via [record]. *)
 let alloc_from_domain t vma ~domain ~bytes ~max_page =
   let mc = is_mcdram t domain in
-  let budget = if mc then min bytes (quota_room t) else bytes in
+  let budget = if mc then Int.min bytes (quota_room t) else bytes in
   let page_bytes = Page.bytes Page.Small in
   (* Chunks up to 1 GiB so huge pages stay reachable. *)
   let chunk_cap = Page.bytes Page.Huge in
@@ -170,7 +166,7 @@ let alloc_from_domain t vma ~domain ~bytes ~max_page =
     if remaining < page_bytes then obtained
     else begin
       let largest = Phys.largest_free t.phys ~domain in
-      let want = min (min remaining chunk_cap) largest in
+      let want = Int.min (Int.min remaining chunk_cap) largest in
       let chunk = pow2_floor want in
       if chunk < page_bytes then obtained
       else
@@ -194,9 +190,7 @@ let alloc_from_domain t vma ~domain ~bytes ~max_page =
             if page = Page.Large then
               Mk_obs.Hook.count ~subsystem:"mem" ~name:"pages_2m"
                 (chunk / Page.bytes Page.Large);
-            let vaddr = vma.Vma.start + vma.Vma.acct.Vma.backed in
             Vma.record vma ~bytes:chunk ~mcdram:(if mc then chunk else 0) ~page;
-            Page_table.map t.page_table ~vaddr ~bytes:chunk ~page;
             if mc then t.mcdram_used <- t.mcdram_used + chunk;
             go (remaining - chunk) (obtained + chunk)
     end
@@ -307,10 +301,6 @@ let munmap t ~addr =
   match List.find_opt (fun (v : Vma.t) -> v.start = addr) t.vmas with
   | None -> invalid_arg (Printf.sprintf "Address_space.munmap: no VMA at %#x" addr)
   | Some vma ->
-      List.iter
-        (fun (vaddr, bytes, page) -> Page_table.unmap t.page_table ~vaddr ~bytes ~page)
-        vma.Vma.mappings;
-      vma.Vma.mappings <- [];
       t.mcdram_used <- t.mcdram_used - vma.Vma.acct.Vma.mcdram;
       Blocklist.release_all vma.Vma.blocks t.phys;
       t.vmas <- List.filter (fun (v : Vma.t) -> v.start <> addr) t.vmas;
@@ -395,11 +385,13 @@ let brk t ~delta =
     Mk_obs.Hook.count ~subsystem:"mem" ~name:"brk_grows" 1;
     t.stats.cumulative_heap_growth <- t.stats.cumulative_heap_growth + delta;
     let new_brk = t.brk_current + delta in
-    let target = Page.align_up (max new_brk t.heap_mapped_top) t.strategy.heap_increment in
+    let target =
+      Page.align_up (Int.max new_brk t.heap_mapped_top) t.strategy.heap_increment
+    in
     if new_brk <= t.heap_mapped_top then begin
       (* LWK fast path: the regrown range is still mapped. *)
       t.brk_current <- new_brk;
-      t.stats.heap_peak <- max t.stats.heap_peak (heap_used t);
+      t.stats.heap_peak <- Int.max t.stats.heap_peak (heap_used t);
       t.stats.brk_time <- t.stats.brk_time + brk_fast_cost;
       Ok (new_brk, brk_fast_cost)
     end
@@ -408,7 +400,7 @@ let brk t ~delta =
       | Error `Enomem -> Error `Enomem
       | Ok populate_cost ->
           t.brk_current <- new_brk;
-          t.stats.heap_peak <- max t.stats.heap_peak (heap_used t);
+          t.stats.heap_peak <- Int.max t.stats.heap_peak (heap_used t);
           let cost = brk_vma_cost + populate_cost in
           t.stats.brk_time <- t.stats.brk_time + cost;
           Ok (new_brk, cost)
@@ -416,7 +408,7 @@ let brk t ~delta =
   else begin
     t.stats.brk_shrinks <- t.stats.brk_shrinks + 1;
     Mk_obs.Hook.count ~subsystem:"mem" ~name:"brk_shrinks" 1;
-    let new_brk = max heap_base_addr (t.brk_current + delta) in
+    let new_brk = Int.max heap_base_addr (t.brk_current + delta) in
     t.brk_current <- new_brk;
     if t.strategy.heap_ignore_shrink then begin
       (* Memory stays mapped; only the logical break moves.  (This is
@@ -441,13 +433,13 @@ let brk t ~delta =
                   Phys.free t.phys b;
                   freed := !freed + b.Phys.bytes;
                   let mc = is_mcdram t b.Phys.domain in
-                  acct.Vma.backed <- max 0 (acct.Vma.backed - b.Phys.bytes);
+                  acct.Vma.backed <- Int.max 0 (acct.Vma.backed - b.Phys.bytes);
                   if mc then begin
-                    acct.Vma.mcdram <- max 0 (acct.Vma.mcdram - b.Phys.bytes);
-                    t.mcdram_used <- max 0 (t.mcdram_used - b.Phys.bytes)
+                    acct.Vma.mcdram <- Int.max 0 (acct.Vma.mcdram - b.Phys.bytes);
+                    t.mcdram_used <- Int.max 0 (t.mcdram_used - b.Phys.bytes)
                   end;
                   (* Heap pages under Linux are small-page backed. *)
-                  acct.Vma.small <- max 0 (acct.Vma.small - b.Phys.bytes);
+                  acct.Vma.small <- Int.max 0 (acct.Vma.small - b.Phys.bytes);
                   false
                 end
                 else true)
@@ -458,20 +450,17 @@ let brk t ~delta =
           t.heap.Vma.blocks <- bag;
           (* Newest-first mappings go away with the freed blocks. *)
           let dropped = ref 0 in
-          let kept_mappings =
+          t.heap.Vma.mappings <-
             List.filter
-              (fun (vaddr, bytes, page) ->
+              (fun (_, bytes, _) ->
                 if !dropped < !freed then begin
-                  Page_table.unmap t.page_table ~vaddr ~bytes ~page;
                   dropped := !dropped + bytes;
                   false
                 end
                 else true)
-              t.heap.Vma.mappings
-          in
-          t.heap.Vma.mappings <- kept_mappings;
+              t.heap.Vma.mappings;
           t.heap_mapped_top <- new_top;
-          t.heap.Vma.len <- max 0 (new_top - heap_base_addr);
+          t.heap.Vma.len <- Int.max 0 (new_top - heap_base_addr);
           brk_vma_cost + (Page.count ~bytes:released Page.Small * 15)
         end
         else brk_fast_cost
@@ -499,7 +488,7 @@ let demand_fault_range t (vma : Vma.t) ~bytes ~concurrency =
   let added = vma.Vma.acct.Vma.backed - before in
   (* Force demand-paged accounting to the fault granularity: the
      chunks were recorded at up to [page], which is already <= THP. *)
-  let faulted = min bytes added in
+  let faulted = Int.min bytes added in
   if faulted <= 0 then 0
   else begin
     let cost = Fault.demand_fault_bytes t.costs ~page ~bytes:faulted ~concurrency in
@@ -516,10 +505,10 @@ let touch t ~addr ~bytes ~concurrency =
   match find_vma t addr with
   | None -> 0
   | Some vma ->
-      let span_end = min (addr + bytes) (Vma.end_ vma) in
-      let span = max 0 (span_end - addr) in
+      let span_end = Int.min (addr + bytes) (Vma.end_ vma) in
+      let span = Int.max 0 (span_end - addr) in
       let un = Vma.unbacked vma in
-      let to_fault = min span un in
+      let to_fault = Int.min span un in
       if to_fault <= 0 then 0
       else demand_fault_range t vma ~bytes:to_fault ~concurrency
 
@@ -530,9 +519,9 @@ let premap t ~addr ~bytes =
   match find_vma t addr with
   | None -> 0
   | Some vma ->
-      let span_end = min (addr + bytes) (Vma.end_ vma) in
-      let span = max 0 (span_end - addr) in
-      let to_map = min span (Vma.unbacked vma) in
+      let span_end = Int.min (addr + bytes) (Vma.end_ vma) in
+      let span = Int.max 0 (span_end - addr) in
+      let to_map = Int.min span (Vma.unbacked vma) in
       if to_map <= 0 then 0
       else begin
         let page = interior_page t ~bytes:to_map in
@@ -544,7 +533,7 @@ let premap t ~addr ~bytes =
       end
 
 let touch_heap t ~concurrency =
-  let heap_extent = max 0 (t.brk_current - heap_base_addr) in
+  let heap_extent = Int.max 0 (t.brk_current - heap_base_addr) in
   if heap_extent > t.heap.Vma.len then t.heap.Vma.len <- heap_extent;
   let un = Vma.unbacked t.heap in
   if un <= 0 then 0 else demand_fault_range t t.heap ~bytes:un ~concurrency
@@ -556,7 +545,7 @@ let touch_all t ~concurrency =
       let un = Vma.unbacked v in
       if un > 0 then cost := !cost + demand_fault_range t v ~bytes:un ~concurrency)
     t.vmas;
-  let heap_extent = max 0 (t.brk_current - heap_base_addr) in
+  let heap_extent = Int.max 0 (t.brk_current - heap_base_addr) in
   if heap_extent > t.heap.Vma.len then t.heap.Vma.len <- heap_extent;
   let un = Vma.unbacked t.heap in
   if un > 0 then cost := !cost + demand_fault_range t t.heap ~bytes:un ~concurrency;
@@ -580,3 +569,17 @@ let mcdram_fraction t =
 let tlb_factor t = Vma.tlb_factor (Vma.merge_acct (all_accts t))
 
 let heap_mapped_bytes t = t.heap_mapped_top - heap_base_addr
+
+(* Built per call from the live extents: no simulated output reads the
+   table, so keeping one current on every chunk would be pure host
+   cost. *)
+let page_table t =
+  let pt = Page_table.create () in
+  let map_extents (v : Vma.t) =
+    List.iter
+      (fun (vaddr, bytes, page) -> Page_table.map pt ~vaddr ~bytes ~page)
+      v.Vma.mappings
+  in
+  map_extents t.heap;
+  List.iter map_extents t.vmas;
+  pt

@@ -137,4 +137,6 @@ val find_vma : t -> int -> Vma.t option
 
 val page_table : t -> Page_table.t
 (** The process's paging structures: the LWKs' huge mappings keep
-    this radically smaller than Linux's 4K/2M trees. *)
+    this radically smaller than Linux's 4K/2M trees.  Built per call
+    from the live extents of the heap and every VMA, in O(extents);
+    the space itself keeps no table. *)

@@ -1,13 +1,19 @@
 let base_page = 4096
 
+module Index_set = Set.Make (Int)
+module Index_tbl = Hashtbl.Make (Int)
+
 type t = {
   base : int;
   total_pages : int;
   max_order : int;
-  free_lists : (int, unit) Hashtbl.t array;  (** per order: set of page indexes *)
-  allocated : (int, int) Hashtbl.t;  (** page index -> order *)
+  free_lists : Index_set.t array;  (** per order: free page indexes *)
+  allocated : int Index_tbl.t;  (** page index -> order *)
   mutable free_pages : int;
 }
+
+let add_free t o idx = t.free_lists.(o) <- Index_set.add idx t.free_lists.(o)
+let remove_free t o idx = t.free_lists.(o) <- Index_set.remove idx t.free_lists.(o)
 
 let order_of_pages pages =
   let rec go o = if 1 lsl o >= pages then o else go (o + 1) in
@@ -18,14 +24,14 @@ let create ~base ~bytes =
   let total_pages = bytes / base_page in
   if total_pages <= 0 then invalid_arg "Buddy.create: region too small";
   let max_order = order_of_pages total_pages in
-  let free_lists = Array.init (max_order + 1) (fun _ -> Hashtbl.create 16) in
+  let free_lists = Array.make (max_order + 1) Index_set.empty in
   let t =
     {
       base;
       total_pages;
       max_order;
       free_lists;
-      allocated = Hashtbl.create 64;
+      allocated = Index_tbl.create 64;
       free_pages = 0;
     }
   in
@@ -41,7 +47,7 @@ let create ~base ~bytes =
         else pick (o - 1)
       in
       let o = pick max_order in
-      Hashtbl.replace t.free_lists.(o) idx ();
+      add_free t o idx;
       t.free_pages <- t.free_pages + (1 lsl o);
       seed (idx + (1 lsl o)) (remaining - (1 lsl o))
     end
@@ -53,24 +59,22 @@ let total t = t.total_pages * base_page
 let free_bytes t = t.free_pages * base_page
 let used_bytes t = (t.total_pages - t.free_pages) * base_page
 
-let take_any tbl =
-  (* Deterministic: take the smallest index so identical call sequences
-     produce identical layouts. *)
-  (* mklint: allow R3 — min over all keys, order-independent. *)
-  Hashtbl.fold
-    (fun k () acc -> match acc with None -> Some k | Some m -> Some (min m k))
-    tbl None
+(* Deterministic: take the smallest index so identical call sequences
+   produce identical layouts. *)
+let take_any t o = Index_set.min_elt_opt t.free_lists.(o)
+
+let has_free t o = not (Index_set.is_empty t.free_lists.(o))
 
 let rec split_down t o target =
   (* Split one block of order o until a block of order target exists. *)
   if o > target then begin
-    match take_any t.free_lists.(o) with
+    match take_any t o with
     | None -> ()
     | Some idx ->
-        Hashtbl.remove t.free_lists.(o) idx;
+        remove_free t o idx;
         let half = 1 lsl (o - 1) in
-        Hashtbl.replace t.free_lists.(o - 1) idx ();
-        Hashtbl.replace t.free_lists.(o - 1) (idx + half) ();
+        add_free t (o - 1) idx;
+        add_free t (o - 1) (idx + half);
         split_down t (o - 1) target
   end
 
@@ -83,18 +87,18 @@ let alloc t ~bytes =
     (* Find the smallest order >= requested with a free block. *)
     let rec find o =
       if o > t.max_order then None
-      else if Hashtbl.length t.free_lists.(o) > 0 then Some o
+      else if has_free t o then Some o
       else find (o + 1)
     in
     match find order with
     | None -> None
     | Some o ->
         split_down t o order;
-        (match take_any t.free_lists.(order) with
+        (match take_any t order with
         | None -> None
         | Some idx ->
-            Hashtbl.remove t.free_lists.(order) idx;
-            Hashtbl.replace t.allocated idx order;
+            remove_free t order idx;
+            Index_tbl.replace t.allocated idx order;
             t.free_pages <- t.free_pages - (1 lsl order);
             Some (t.base + (idx * base_page)))
   end
@@ -103,22 +107,22 @@ let rec coalesce t idx order =
   if order < t.max_order then begin
     let size = 1 lsl order in
     let buddy = idx lxor size in
-    if buddy + size <= t.total_pages && Hashtbl.mem t.free_lists.(order) buddy
+    if buddy + size <= t.total_pages && Index_set.mem buddy t.free_lists.(order)
     then begin
-      Hashtbl.remove t.free_lists.(order) buddy;
-      let merged = min idx buddy in
+      remove_free t order buddy;
+      let merged = Int.min idx buddy in
       coalesce t merged (order + 1)
     end
-    else Hashtbl.replace t.free_lists.(order) idx ()
+    else add_free t order idx
   end
-  else Hashtbl.replace t.free_lists.(order) idx ()
+  else add_free t order idx
 
 let free t ~addr ~bytes =
   let idx = (addr - t.base) / base_page in
   let pages = (bytes + base_page - 1) / base_page in
   let order = order_of_pages pages in
-  (match Hashtbl.find_opt t.allocated idx with
-  | Some o when o = order -> Hashtbl.remove t.allocated idx
+  (match Index_tbl.find_opt t.allocated idx with
+  | Some o when o = order -> Index_tbl.remove t.allocated idx
   | Some o ->
       invalid_arg
         (Printf.sprintf "Buddy.free: block at %#x has order %d, freed as %d" addr o
@@ -130,7 +134,7 @@ let free t ~addr ~bytes =
 let largest_free t =
   let rec go o =
     if o < 0 then 0
-    else if Hashtbl.length t.free_lists.(o) > 0 then (1 lsl o) * base_page
+    else if has_free t o then (1 lsl o) * base_page
     else go (o - 1)
   in
   go t.max_order

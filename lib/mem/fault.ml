@@ -27,7 +27,7 @@ let map_cost c = function
   | Page.Huge -> c.map_huge
 
 let contention_factor c concurrency =
-  1.0 +. (c.contention *. float_of_int (max 0 (concurrency - 1)))
+  1.0 +. (c.contention *. float_of_int (Int.max 0 (concurrency - 1)))
 
 let demand_fault c ~page ~concurrency =
   let zero = Units.transfer_time ~bytes:(Page.bytes page) ~bw:c.zero_bandwidth in

@@ -49,7 +49,7 @@ let for_each_span t ~first ~last ~span ~psize f =
   let base = ref (Page.align_down first span) in
   while !base < last do
     t.ops <- t.ops + 1;
-    let lo = max !base first and hi = min (!base + span) last in
+    let lo = Int.max !base first and hi = Int.min (!base + span) last in
     f !base ((hi - lo) / psize);
     base := !base + span
   done

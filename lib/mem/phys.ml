@@ -24,7 +24,7 @@ let create_fragmented numa ~max_block =
         let rec build offset remaining acc =
           if remaining <= 0 then List.rev acc
           else begin
-            let bytes = min max_block remaining in
+            let bytes = Int.min max_block remaining in
             let base = (d * domain_window) + offset in
             (* Leave a 4K gap between regions so the buddy allocators
                cannot coalesce across them. *)
@@ -49,7 +49,7 @@ let reserve t ~domain ~bytes =
       match regions with
       | [] -> invalid_arg "Phys.reserve: domain cannot supply reservation"
       | r :: rest -> (
-          let chunk = min remaining (Buddy.largest_free r.buddy) in
+          let chunk = Int.min remaining (Buddy.largest_free r.buddy) in
           if chunk = 0 then take remaining rest
           else
             match Buddy.alloc r.buddy ~bytes:chunk with
@@ -91,7 +91,7 @@ let used_bytes t ~domain = sum_regions t domain Buddy.used_bytes
 
 let largest_free t ~domain =
   check_domain t domain;
-  List.fold_left (fun acc r -> max acc (Buddy.largest_free r.buddy)) 0
+  List.fold_left (fun acc r -> Int.max acc (Buddy.largest_free r.buddy)) 0
     t.regions.(domain)
 
 let free_bytes_of_kind t kind =

@@ -51,7 +51,7 @@ let record t ~bytes ~mcdram ~page =
   | Page.Large -> t.acct.large <- t.acct.large + bytes
   | Page.Huge -> t.acct.huge <- t.acct.huge + bytes)
 
-let unbacked t = max 0 (t.len - t.acct.backed)
+let unbacked t = Int.max 0 (t.len - t.acct.backed)
 
 let tlb_factor acct =
   let total = acct.small + acct.large + acct.huge in

@@ -37,7 +37,7 @@ let allreduce env ~clocks ~bytes =
       let j = !i + !k in
       if j < n then begin
         let c = edge_cost env ~src:j ~dst:!i ~bytes in
-        clocks.(!i) <- max clocks.(!i) (clocks.(j) + c)
+        clocks.(!i) <- Int.max clocks.(!i) (clocks.(j) + c)
       end;
       i := !i + (2 * !k)
     done;
@@ -54,7 +54,7 @@ let allreduce env ~clocks ~bytes =
       let j = !i + !k in
       if j < n then begin
         let c = edge_cost env ~src:!i ~dst:j ~bytes in
-        clocks.(j) <- max clocks.(j) (clocks.(!i) + c)
+        clocks.(j) <- Int.max clocks.(j) (clocks.(!i) + c)
       end;
       i := !i + (2 * !k)
     done;
@@ -66,5 +66,5 @@ let allreduce env ~clocks ~bytes =
 let barrier env ~clocks = allreduce env ~clocks ~bytes:8
 
 let synchronise ~clocks =
-  let m = Array.fold_left max min_int clocks in
+  let m = Array.fold_left Int.max min_int clocks in
   Array.iteri (fun i _ -> clocks.(i) <- m) clocks

@@ -4,23 +4,12 @@ let occurrences rng (s : Source.t) ~dur =
   let lambda = float_of_int dur /. float_of_int s.Source.period in
   Rng.poisson rng ~lambda
 
-(* Draw one detour length.  With sigma = 0 the length is the mean;
-   otherwise lognormal with that mean. *)
-let detour rng (s : Source.t) =
-  if s.Source.duration_sigma = 0.0 then s.Source.duration
-  else begin
-    let sigma = s.Source.duration_sigma in
-    (* E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); pick mu so the
-       mean matches the source's duration. *)
-    let mu = log (float_of_int s.Source.duration) -. (sigma *. sigma /. 2.0) in
-    max 0 (int_of_float (Rng.lognormal rng ~mu ~sigma))
-  end
-
-(* Top-level recursions, not local closures: these run once per node
-   per synchronisation point, and the capturing closures they replace
-   were hot minor-heap allocations at high node counts. *)
-let rec detour_sum rng s k acc =
-  if k = 0 then acc else detour_sum rng s (k - 1) (acc + detour rng s)
+(* Total detour length of [k] strikes: [k] times the mean when
+   lengths are constant, otherwise [k] lognormal draws with that mean,
+   summed inside [Rng] where they stay unboxed. *)
+let detour_sum rng (s : Source.t) k =
+  if s.Source.duration_sigma = 0.0 then k * s.Source.duration
+  else Rng.lognormal_sum rng ~mu:s.Source.mu ~sigma:s.Source.duration_sigma k
 
 (* The hook fires only when the source actually struck (k > 0), so
    the disabled-path cost of instrumentation is one branch on the
@@ -37,10 +26,13 @@ let record_strikes (s : Source.t) ~k ~stolen =
 
 let source_delay rng s ~dur =
   let k = occurrences rng s ~dur in
-  let stolen = detour_sum rng s k 0 in
+  let stolen = detour_sum rng s k in
   record_strikes s ~k ~stolen;
   stolen
 
+(* Top-level recursions, not local closures: these run once per node
+   per synchronisation point, where a capturing closure per call is a
+   hot minor-heap allocation at high node counts. *)
 let rec delay_sum rng ~dur acc = function
   | [] -> acc
   | s :: rest -> delay_sum rng ~dur (acc + source_delay rng s ~dur) rest
@@ -75,7 +67,7 @@ let[@inline] max_poisson rng ~lambda ~ranks =
     else begin
       (* Normal approximation to the Poisson. *)
       let z = Rng.normal_quantile target in
-      max 0 (int_of_float (Float.round (lambda +. (z *. sqrt lambda))))
+      Int.max 0 (int_of_float (Float.round (lambda +. (z *. sqrt lambda))))
     end
   end
 
@@ -84,7 +76,7 @@ let rec max_delay_sum rng ~dur ~ranks acc = function
   | (s : Source.t) :: rest ->
       let lambda = float_of_int dur /. float_of_int s.Source.period in
       let k = max_poisson rng ~lambda ~ranks in
-      let stolen = detour_sum rng s k 0 in
+      let stolen = detour_sum rng s k in
       record_strikes s ~k ~stolen;
       max_delay_sum rng ~dur ~ranks (acc + stolen) rest
 

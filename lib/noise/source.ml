@@ -5,6 +5,7 @@ type t = {
   period : Units.time;
   duration : Units.time;
   duration_sigma : float;
+  mu : float;
   injections_counter : string;
   stolen_counter : string;
 }
@@ -17,6 +18,9 @@ let make ~name ~period ~duration ?(duration_sigma = 0.0) () =
     period;
     duration;
     duration_sigma;
+    (* E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); pick mu so the
+       mean matches the duration. *)
+    mu = log (float_of_int duration) -. (duration_sigma *. duration_sigma /. 2.0);
     injections_counter = "injections:" ^ name;
     stolen_counter = "stolen_ns:" ^ name;
   }

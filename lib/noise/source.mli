@@ -11,12 +11,15 @@ type t = private {
   duration : Mk_engine.Units.time;  (** mean detour length *)
   duration_sigma : float;
       (** lognormal sigma of individual detour lengths; 0 = constant *)
+  mu : float;
+      (** lognormal mu, log duration - sigma^2/2, so detours average
+          [duration]; -infinity for a zero duration *)
   injections_counter : string;
       (** ["injections:" ^ name], the metric counting strikes *)
   stolen_counter : string;  (** ["stolen_ns:" ^ name], the metric summing detours *)
 }
-(** Private: only {!make} builds one, so the counter names always
-    match [name]. *)
+(** Private: only {!make} builds one, so [mu] and the counter names
+    always match the other fields. *)
 
 val make :
   name:string ->

@@ -143,6 +143,162 @@ let buddy_conservation_qcheck =
       in
       Buddy.free_bytes b + live_bytes = 32 * mib)
 
+(* The Hashtbl-based allocator [Buddy] replaced, kept as its oracle.
+   Free lists are unit-valued tables; [take_any] picks the smallest
+   free index, read here through [Sorted.keys] (the original folded
+   over every binding for the minimum). *)
+module Buddy_reference = struct
+  let base_page = 4096
+
+  type t = {
+    base : int;
+    total_pages : int;
+    max_order : int;
+    free_lists : (int, unit) Hashtbl.t array;
+    allocated : (int, int) Hashtbl.t;
+    mutable free_pages : int;
+  }
+
+  let order_of_pages pages =
+    let rec go o = if 1 lsl o >= pages then o else go (o + 1) in
+    go 0
+
+  let create ~base ~bytes =
+    let total_pages = bytes / base_page in
+    let max_order = order_of_pages total_pages in
+    let t =
+      {
+        base;
+        total_pages;
+        max_order;
+        free_lists = Array.init (max_order + 1) (fun _ -> Hashtbl.create 16);
+        allocated = Hashtbl.create 64;
+        free_pages = 0;
+      }
+    in
+    let rec seed idx remaining =
+      if remaining > 0 then begin
+        let rec pick o =
+          let sz = 1 lsl o in
+          if sz <= remaining && idx mod sz = 0 then o
+          else if o = 0 then 0
+          else pick (o - 1)
+        in
+        let o = pick max_order in
+        Hashtbl.replace t.free_lists.(o) idx ();
+        t.free_pages <- t.free_pages + (1 lsl o);
+        seed (idx + (1 lsl o)) (remaining - (1 lsl o))
+      end
+    in
+    seed 0 total_pages;
+    t
+
+  let free_bytes t = t.free_pages * base_page
+
+  let take_any tbl =
+    match Mk_analysis.Sorted.keys tbl with [] -> None | k :: _ -> Some k
+
+  let rec split_down t o target =
+    if o > target then begin
+      match take_any t.free_lists.(o) with
+      | None -> ()
+      | Some idx ->
+          Hashtbl.remove t.free_lists.(o) idx;
+          let half = 1 lsl (o - 1) in
+          Hashtbl.replace t.free_lists.(o - 1) idx ();
+          Hashtbl.replace t.free_lists.(o - 1) (idx + half) ();
+          split_down t (o - 1) target
+    end
+
+  let alloc t ~bytes =
+    let pages = (bytes + base_page - 1) / base_page in
+    let order = order_of_pages pages in
+    if order > t.max_order then None
+    else begin
+      let rec find o =
+        if o > t.max_order then None
+        else if Hashtbl.length t.free_lists.(o) > 0 then Some o
+        else find (o + 1)
+      in
+      match find order with
+      | None -> None
+      | Some o -> (
+          split_down t o order;
+          match take_any t.free_lists.(order) with
+          | None -> None
+          | Some idx ->
+              Hashtbl.remove t.free_lists.(order) idx;
+              Hashtbl.replace t.allocated idx order;
+              t.free_pages <- t.free_pages - (1 lsl order);
+              Some (t.base + (idx * base_page)))
+    end
+
+  let rec coalesce t idx order =
+    if order < t.max_order then begin
+      let size = 1 lsl order in
+      let buddy = idx lxor size in
+      if buddy + size <= t.total_pages && Hashtbl.mem t.free_lists.(order) buddy
+      then begin
+        Hashtbl.remove t.free_lists.(order) buddy;
+        coalesce t (min idx buddy) (order + 1)
+      end
+      else Hashtbl.replace t.free_lists.(order) idx ()
+    end
+    else Hashtbl.replace t.free_lists.(order) idx ()
+
+  let free t ~addr ~bytes =
+    let idx = (addr - t.base) / base_page in
+    let order = order_of_pages ((bytes + base_page - 1) / base_page) in
+    Hashtbl.remove t.allocated idx;
+    t.free_pages <- t.free_pages + (1 lsl order);
+    coalesce t idx order
+
+  let largest_free t =
+    let rec go o =
+      if o < 0 then 0
+      else if Hashtbl.length t.free_lists.(o) > 0 then (1 lsl o) * base_page
+      else go (o - 1)
+    in
+    go t.max_order
+end
+
+(* Random alloc/free sequences on a region of random (mostly
+   non-power-of-two) size: after every operation both allocators must
+   return the same address (or none) and agree on free bytes and the
+   largest free block.  Any other choice among equal-order free blocks
+   than the smallest index moves an address. *)
+let buddy_matches_reference =
+  QCheck.Test.make ~name:"buddy = Hashtbl reference allocator" ~count:200
+    QCheck.(
+      pair (int_range 1 3000)
+        (list_of_size (Gen.int_range 1 120)
+           (triple bool (int_range 1 (64 * 4096)) small_nat)))
+    (fun (pages, ops) ->
+      let bytes = pages * 4096 in
+      let b = Buddy.create ~base:(1 lsl 30) ~bytes in
+      let r = Buddy_reference.create ~base:(1 lsl 30) ~bytes in
+      let live = ref [] in
+      let agree () =
+        Buddy.free_bytes b = Buddy_reference.free_bytes r
+        && Buddy.largest_free b = Buddy_reference.largest_free r
+      in
+      List.for_all
+        (fun (alloc, size, pick) ->
+          if alloc || !live = [] then begin
+            let got = Buddy.alloc b ~bytes:size in
+            let want = Buddy_reference.alloc r ~bytes:size in
+            Option.iter (fun addr -> live := (addr, size) :: !live) got;
+            got = want && agree ()
+          end
+          else begin
+            let addr, size = List.nth !live (pick mod List.length !live) in
+            live := List.filter (fun (a, _) -> a <> addr) !live;
+            Buddy.free b ~addr ~bytes:size;
+            Buddy_reference.free r ~addr ~bytes:size;
+            agree ()
+          end)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Phys *)
 
@@ -477,6 +633,29 @@ let test_pgtbl_address_space_integration () =
   check_int "one 1G translation" 1 lwk;
   check_bool "linux needs hundreds" true (lin >= 512)
 
+(* A strict mmap that cannot be fully backed rolls back everything
+   it took: every block goes back and no translation is left behind. *)
+let test_pgtbl_failed_strict_mmap () =
+  let phys = Phys.create numa in
+  let free_total () =
+    Phys.free_bytes_of_kind phys Mk_hw.Memory_kind.Ddr4
+    + Phys.free_bytes_of_kind phys Mk_hw.Memory_kind.Mcdram
+  in
+  let free_before = free_total () in
+  let asp =
+    Address_space.create ~phys ~strategy:Address_space.mos_strategy
+      ~default_policy:(Policy.Mcdram_first { home = 0 })
+      ()
+  in
+  (match Address_space.mmap asp ~bytes:(200 * gib) ~backing:Vma.Anonymous () with
+  | Error `Enomem -> ()
+  | Ok _ -> Alcotest.fail "200 GiB must ENOMEM");
+  check_int "nothing backed" 0 (Address_space.backed_bytes asp);
+  check_int "every block returned" free_before (free_total ());
+  let pt = Address_space.page_table asp in
+  check_int "no leaf entries" 0 (Page_table.leaf_entries pt);
+  check_int "no table pages" 0 (Page_table.table_pages pt)
+
 let test_pgtbl_closed_form_op_count () =
   (* The acceptance bound for the closed-form span arithmetic: a
      4 GiB 4K mapping is 1M pages but only 2048 leaf tables, and the
@@ -656,7 +835,7 @@ let () =
         :: Alcotest.test_case "oversize" `Quick test_buddy_oversize_rejected
         :: Alcotest.test_case "double free" `Quick test_buddy_double_free_rejected
         :: Alcotest.test_case "non-pow2 region" `Quick test_buddy_non_pow2_region
-        :: qsuite [ buddy_conservation_qcheck ] );
+        :: qsuite [ buddy_conservation_qcheck; buddy_matches_reference ] );
       ( "phys",
         [
           Alcotest.test_case "capacity" `Quick test_phys_capacity;
@@ -690,7 +869,11 @@ let () =
              test_pgtbl_address_space_integration
         :: Alcotest.test_case "closed-form op count" `Quick
              test_pgtbl_closed_form_op_count
-        :: qsuite [ pgtbl_conservation; pgtbl_closed_form_matches_reference ] );
+        :: qsuite [ pgtbl_conservation; pgtbl_closed_form_matches_reference ]
+        @ [
+            Alcotest.test_case "failed strict mmap leaves no entries" `Quick
+              test_pgtbl_failed_strict_mmap;
+          ] );
       ( "address_space",
         [
           Alcotest.test_case "linux demand paging" `Quick test_as_linux_demand_paging;

@@ -125,6 +125,86 @@ let test_halo_single_node_noop () =
   check_int "unchanged" 42 clocks.(0)
 
 
+(* The fold-based halo [P2p.halo] replaced, kept as its oracle: one
+   closure per node, both offsets reduced with two [mod]s per edge
+   (a fresh copy stands in for the scratch array). *)
+module Halo_reference = struct
+  let halo env ~clocks ~bytes ~neighbors =
+    let n = Array.length clocks in
+    if n > 1 && neighbors > 0 then begin
+      let offsets = P2p.neighbor_offsets ~nodes:n ~neighbors in
+      let send_cost = List.length offsets * List.fold_left
+                        (fun acc s -> acc + env.Collective.syscall_cost s)
+                        0
+                        (Mk_fabric.Nic.control_syscalls
+                           (Mk_fabric.Fabric.nic env.Collective.fabric)
+                           ~bytes)
+      in
+      let before = Array.copy clocks in
+      Array.iteri
+        (fun i c ->
+          let arrival =
+            List.fold_left
+              (fun acc off ->
+                let j = ((i + off) mod n + n) mod n in
+                let wire =
+                  Mk_fabric.Fabric.wire_time env.Collective.fabric ~src:j ~dst:i
+                    ~bytes
+                in
+                max acc (before.(j) + send_cost + wire))
+              (c + send_cost) offsets
+          in
+          clocks.(i) <- arrival)
+        before
+    end
+end
+
+(* Tiny node counts matter most: there the offsets reach +-n.  Byte
+   counts straddle the NIC's eager threshold, so rendezvous control
+   calls are charged on one side; one fabric has a degraded link. *)
+let test_halo_matches_reference () =
+  let eager = Mk_fabric.Nic.eager_threshold (Mk_fabric.Nic.make ()) in
+  let rng = Mk_engine.Rng.create 17 in
+  List.iter
+    (fun nodes ->
+      let charged =
+        { (mk_env ~nodes ()) with Collective.syscall_cost = (fun _ -> 700) }
+      in
+      let degraded = mk_env ~nodes () in
+      Mk_fabric.Fabric.set_link_factor degraded.Collective.fabric ~node:1 ~factor:1.7;
+      for neighbors = 1 to 26 do
+        List.iter
+          (fun bytes ->
+            List.iter
+              (fun env ->
+                let clocks = Array.init nodes (fun _ -> Mk_engine.Rng.int rng 50_000) in
+                let expected = Array.copy clocks in
+                P2p.halo env ~clocks ~bytes ~neighbors;
+                Halo_reference.halo env ~clocks:expected ~bytes ~neighbors;
+                Alcotest.(check (array int))
+                  (Printf.sprintf "%d nodes, %d neighbors, %d bytes" nodes neighbors
+                     bytes)
+                  expected clocks)
+              [ charged; degraded ])
+          [ 8; eager; eager + 1; 1024 * 1024 ]
+      done)
+    [ 2; 3; 4; 5; 8; 9; 27; 64; 1000; 2048 ]
+
+(* A halo runs once per sync point per iteration, so at the paper's
+   largest job a closure per node would cost ~20,000 words a call. *)
+let test_halo_alloc_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let env = mk_env ~nodes:2048 () in
+  let clocks = Array.make 2048 0 in
+  let calls = 100 in
+  P2p.halo env ~clocks ~bytes:(180 * 1024) ~neighbors:26;
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    P2p.halo env ~clocks ~bytes:(180 * 1024) ~neighbors:26
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  if words > 128.0 then Alcotest.failf "2048 nodes: %.1f words/halo > 128" words
+
 (* ------------------------------------------------------------------ *)
 (* Event-driven intra-node collective *)
 
@@ -237,5 +317,8 @@ let () =
           Alcotest.test_case "neighbor offsets" `Quick test_neighbor_offsets;
           Alcotest.test_case "waits for neighbors" `Quick test_halo_waits_for_neighbors;
           Alcotest.test_case "single node noop" `Quick test_halo_single_node_noop;
+          Alcotest.test_case "matches fold-based reference" `Quick
+            test_halo_matches_reference;
+          Alcotest.test_case "halo allocation budget" `Quick test_halo_alloc_budget;
         ] );
     ]

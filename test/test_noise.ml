@@ -114,16 +114,15 @@ let test_max_delay_known_answers () =
   check_int "linux_default" 150_895_691 (draw_sum Profile.linux_default);
   check_int "mos_lwk" 218_038 (draw_sum Profile.mos_lwk)
 
-(* Minor words per [max_delay] draw of the Cluster_des window. *)
-let words_per_draw profile =
+(* Minor words per [max_delay] draw, by default of the Cluster_des
+   window. *)
+let words_per_draw ?(dur = 2 * Units.ms) ?(ranks = 64) profile =
   let rng = Rng.create 42 in
   let draws = 1_000 in
-  ignore (Injector.max_delay profile rng ~dur:(2 * Units.ms) ~ranks:64);
+  ignore (Injector.max_delay profile rng ~dur ~ranks);
   let before = Gc.minor_words () in
   for _ = 1 to draws do
-    ignore
-      (Sys.opaque_identity
-         (Injector.max_delay profile rng ~dur:(2 * Units.ms) ~ranks:64))
+    ignore (Sys.opaque_identity (Injector.max_delay profile rng ~dur ~ranks))
   done;
   (Gc.minor_words () -. before) /. float_of_int draws
 
@@ -174,6 +173,52 @@ let test_max_delay_metered_alloc_budget () =
   in
   Alcotest.(check (list string)) "metered keys"
     (List.sort String.compare expected) (List.sort String.compare metered)
+
+(* A Lulesh sync point on the stock Linux profile: a 360 ms window
+   gating 128 ranks strikes ~150 lognormal detours per draw.  Summed
+   inside [Rng], they allocate nothing per detour; returned one by one
+   across the module boundary they cost ~4 words each. *)
+let test_max_delay_sync_point_alloc_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let words =
+    words_per_draw ~dur:(360 * Units.ms) ~ranks:128 Profile.linux_nohz_full
+  in
+  if words > 40.0 then
+    Alcotest.failf "linux_nohz_full, 360 ms x 128 ranks: %.1f words/draw > 40" words
+
+(* The per-strike detour loop [Rng.lognormal_sum] replaced, kept as
+   its oracle: mu recomputed per strike, one [Rng.lognormal] each. *)
+module Detour_reference = struct
+  let detour rng (s : Source.t) =
+    if s.Source.duration_sigma = 0.0 then s.Source.duration
+    else begin
+      let sigma = s.Source.duration_sigma in
+      let mu = log (float_of_int s.Source.duration) -. (sigma *. sigma /. 2.0) in
+      max 0 (int_of_float (Rng.lognormal rng ~mu ~sigma))
+    end
+
+  let rec detour_sum rng s k acc =
+    if k = 0 then acc else detour_sum rng s (k - 1) (acc + detour rng s)
+end
+
+(* Same sum and same stream position as the oracle on a copy of the
+   generator.  Durations include 0 (mu = -infinity). *)
+let lognormal_sum_matches_reference =
+  QCheck.Test.make ~name:"lognormal_sum = per-strike detour loop" ~count:500
+    QCheck.(
+      quad (int_range 0 300)
+        (oneofl [ 0.3; 0.5; 0.8; 1.0 ])
+        (oneof [ always 0; int_range 0 (2 * Units.ms) ])
+        small_nat)
+    (fun (k, sigma, duration, seed) ->
+      let s =
+        Source.make ~name:"s" ~period:Units.ms ~duration ~duration_sigma:sigma ()
+      in
+      let rng = Rng.create seed in
+      let oracle = Rng.copy rng in
+      let sum = Rng.lognormal_sum rng ~mu:s.Source.mu ~sigma k in
+      sum = Detour_reference.detour_sum oracle s k 0
+      && Int64.equal (Rng.bits64 rng) (Rng.bits64 oracle))
 
 (* ------------------------------------------------------------------ *)
 (* FTQ *)
@@ -248,5 +293,8 @@ let () =
         @ [
             Alcotest.test_case "metered max_delay allocation budget" `Quick
               test_max_delay_metered_alloc_budget;
-          ] );
+            Alcotest.test_case "sync-point max_delay allocation budget" `Quick
+              test_max_delay_sync_point_alloc_budget;
+          ]
+        @ qsuite [ lognormal_sum_matches_reference ] );
     ]
