@@ -34,9 +34,11 @@ dune runtest
 
 # Robustness gates, run explicitly so a failure is attributable even
 # though `dune runtest` covers the same suites: the fault-injection
-# subsystem and the crash-safe atomic-write path.
+# subsystem, the crash-safe atomic-write path, and the pool (its
+# per-map cost is gated by a minor-collection count, not a timing).
 dune exec test/test_fault.exe >/dev/null
 dune exec test/test_engine.exe -- test atomic-file >/dev/null
+dune exec test/test_engine.exe -- test pool >/dev/null
 
 # Cross-domain identity gates, repeated: the profile document and the
 # sharded-DES pool identity each compare a -j 2 run with a sequential

@@ -81,42 +81,6 @@ let executor_slot : int option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Worker GC tuning.
-
-   OCaml 5 minor collections are stop-the-world across every domain,
-   so on machines with fewer cores than domains each minor GC costs a
-   cross-domain rendezvous on an oversubscribed scheduler.  Workers
-   therefore get a larger per-domain minor heap ([Gc.set] from a
-   domain only affects that domain's minor heap), which divides the
-   number of rendezvous by the growth factor.  The submitting domain
-   and sequential runs keep the default GC, so sequential results and
-   baselines are unaffected. *)
-
-type gc_tuning = { minor_heap_words : int; space_overhead : int }
-
-(* Measured on the suite workload (bench perf): nurseries in the
-   2-16M-word range all collapse the minor-collection count by an
-   order of magnitude, but past ~4M words the larger working set
-   starts to eat the gain back in cache misses, and raising
-   space_overhead trades marking work for major-heap growth at a
-   clear loss.  4M words, stock space_overhead is the measured
-   optimum; [set_worker_gc_tuning] overrides it per machine. *)
-let default_gc_tuning =
-  { minor_heap_words = 4 * 1024 * 1024; space_overhead = 120 }
-
-(* mklint: allow R4 — written only from the main domain before any
-   worker exists (workers read it once, at domain startup). *)
-let worker_gc_tuning = ref (Some default_gc_tuning)
-let set_worker_gc_tuning t = worker_gc_tuning := t
-
-let apply_worker_gc_tuning () =
-  match !worker_gc_tuning with
-  | None -> ()
-  | Some { minor_heap_words; space_overhead } ->
-      let g = Gc.get () in
-      Gc.set { g with minor_heap_size = minor_heap_words; space_overhead }
-
-(* ------------------------------------------------------------------ *)
 (* Task discovery: own deque, then a steal round, then the injector.  *)
 
 (* A raw submitted job that raises would silently kill its worker
@@ -207,7 +171,6 @@ let find_task_slotless pool =
 let worker_loop pool idx () =
   Domain.DLS.set in_worker true;
   Domain.DLS.set executor_slot (Some idx);
-  apply_worker_gc_tuning ();
   (try
      let rec loop () =
        if pool.poisoned <> None then ()
@@ -263,9 +226,9 @@ let create ?(oversubscribe = false) ?num_domains ?deque_capacity () =
      workers are clamped to [recommended_domain_count - 1] to keep
      total executors at the machine's concurrency.  A clamped-to-zero
      pool is still useful — parallel_map then runs every task on the
-     (GC-tuned) submitting domain.  [oversubscribe:true] disables the
-     clamp, for tests that need real cross-domain traffic regardless
-     of the machine they run on. *)
+     submitting domain.  [oversubscribe:true] disables the clamp, for
+     tests that need real cross-domain traffic regardless of the
+     machine they run on. *)
   let size =
     if oversubscribe then requested
     else min requested (max 0 (Domain.recommended_domain_count () - 1))
@@ -424,10 +387,12 @@ let get_default () =
    The submitting domain does not sleep while workers run: it claims
    executor slot [size] (deque and counter row), pushes every task
    there, and executes alongside the workers — popping its own deque
-   LIFO, stealing back when its deque is drained — with the worker GC
-   tuning and the [in_worker] flag applied for the duration and
-   restored after.  A map over a pool of [w] workers therefore uses
-   [w + 1] executing domains, and no more domains than executors.  If
+   LIFO, stealing back when its deque is drained — with the
+   [in_worker] flag set for the duration and cleared after.  It leaves
+   the GC settings alone: on OCaml 5 each change of [minor_heap_size]
+   is a stop-the-world minor collection of every domain.  A map over
+   a pool of [w] workers therefore uses [w + 1] executing domains,
+   and no more domains than executors.  If
    another domain's map already holds slot [size] (unusual but
    legal), this map routes its tasks through the injector instead and
    helps slotlessly. *)
@@ -476,11 +441,9 @@ let parallel_run_on pool f xs =
     Mutex.unlock pool.mutex
   end;
   wake_sleepers pool;
-  let saved_gc = Gc.get () in
   let saved_slot = Domain.DLS.get executor_slot in
   Domain.DLS.set in_worker true;
   if slot_claimed then Domain.DLS.set executor_slot (Some pool.size);
-  apply_worker_gc_tuning ();
   let outcome =
     Fun.protect
       ~finally:(fun () ->
@@ -490,8 +453,7 @@ let parallel_run_on pool f xs =
         Mutex.lock pool.mutex;
         pool.active_helpers <- pool.active_helpers - 1;
         Condition.broadcast pool.progress;
-        Mutex.unlock pool.mutex;
-        Gc.set saved_gc)
+        Mutex.unlock pool.mutex)
     @@ fun () ->
     let rec help () =
       if Atomic.get remaining = 0 then `Done

@@ -49,9 +49,9 @@ val create :
     and scheduler ping-pong — the reason [-j] used to lose to
     sequential on small machines.  On a single-core machine the clamp
     yields zero workers and [parallel_map] runs every task on the
-    (GC-tuned) submitting domain.  [oversubscribe:true] spawns the
-    requested count regardless; tests use it to get real cross-domain
-    traffic on any machine.
+    submitting domain.  [oversubscribe:true] spawns the requested
+    count regardless; tests use it to get real cross-domain traffic
+    on any machine.
 
     [deque_capacity] is the initial ring size of each executor's
     {!Deque} (default 256; grows geometrically, so it is never a
@@ -135,10 +135,10 @@ val parallel_map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
     Every list element becomes its own task.  The submitting domain
     is an executor too: it pushes the tasks onto its own deque, then
     rather than sleeping on the pool it executes alongside the
-    workers — popping its deque LIFO, stealing back once it drains —
-    with the worker GC tuning applied for the duration (and restored
-    after).  A map over a pool of [w] workers therefore uses [w + 1]
-    executing domains.
+    workers — popping its deque LIFO, stealing back once it drains.
+    A map over a pool of [w] workers therefore uses [w + 1]
+    executing domains.  Every domain runs the runtime's GC settings
+    ([OCAMLRUNPARAM]); the pool never changes them.
 
     Runs sequentially — exactly [List.map f xs] — when [pool] is
     absent and no default pool is configured, when [xs] has fewer
@@ -173,27 +173,3 @@ val set_default_jobs : int -> unit
 
 val default_jobs : unit -> int
 (** The currently configured default ([1] initially). *)
-
-(** {1 Worker GC tuning}
-
-    OCaml 5 minor collections stop the world across {e every} domain,
-    so when domains outnumber cores each minor GC is a rendezvous on
-    an oversubscribed scheduler — the dominant cost of small-heap
-    parallel runs.  Worker domains therefore enlarge their private
-    minor heap at spawn ([Gc.set] inside a domain only affects that
-    domain), dividing the rendezvous count; the submitting domain and
-    sequential runs keep the default GC so baselines are unaffected.
-    This replaces fiddling with [OCAMLRUNPARAM], which would tune the
-    sequential baseline too. *)
-
-type gc_tuning = {
-  minor_heap_words : int;  (** per-worker minor heap, in words *)
-  space_overhead : int;  (** major-GC slack, as [Gc.control] *)
-}
-
-val default_gc_tuning : gc_tuning
-
-val set_worker_gc_tuning : gc_tuning option -> unit
-(** Tuning applied by each worker domain as it starts; [None] leaves
-    workers on the runtime defaults.  Takes effect for pools created
-    after the call. *)

@@ -106,27 +106,31 @@ let pareto t ~scale ~shape =
   scale /. (u ** (1.0 /. shape))
 
 (* Acklam's rational approximation to the inverse normal CDF;
-   absolute error below 1.15e-9 over (0,1). *)
+   absolute error below 1.15e-9 over (0,1).  The coefficient tables
+   live at top level: built inside the function they cost 25 words
+   of allocation per call. *)
+let quantile_a =
+  [| -3.969683028665376e+01; 2.209460984245205e+02; -2.759285104469687e+02;
+     1.383577518672690e+02; -3.066479806614716e+01; 2.506628277459239e+00 |]
+
+let quantile_b =
+  [| -5.447609879822406e+01; 1.615858368580409e+02; -1.556989798598866e+02;
+     6.680131188771972e+01; -1.328068155288572e+01 |]
+
+let quantile_c =
+  [| -7.784894002430293e-03; -3.223964580411365e-01; -2.400758277161838e+00;
+     -2.549732539343734e+00; 4.374664141464968e+00; 2.938163982698783e+00 |]
+
+let quantile_d =
+  [| 7.784695709041462e-03; 3.224671290700398e-01; 2.445134137142996e+00;
+     3.754408661907416e+00 |]
+
 let normal_quantile p =
   if p <= 0.0 then -8.0
   else if p >= 1.0 then 8.0
   else begin
-    let a =
-      [| -3.969683028665376e+01; 2.209460984245205e+02; -2.759285104469687e+02;
-         1.383577518672690e+02; -3.066479806614716e+01; 2.506628277459239e+00 |]
-    in
-    let b =
-      [| -5.447609879822406e+01; 1.615858368580409e+02; -1.556989798598866e+02;
-         6.680131188771972e+01; -1.328068155288572e+01 |]
-    in
-    let c =
-      [| -7.784894002430293e-03; -3.223964580411365e-01; -2.400758277161838e+00;
-         -2.549732539343734e+00; 4.374664141464968e+00; 2.938163982698783e+00 |]
-    in
-    let d =
-      [| 7.784695709041462e-03; 3.224671290700398e-01; 2.445134137142996e+00;
-         3.754408661907416e+00 |]
-    in
+    let a = quantile_a and b = quantile_b in
+    let c = quantile_c and d = quantile_d in
     let p_low = 0.02425 in
     if p < p_low then begin
       let q = sqrt (-2.0 *. log p) in

@@ -1291,6 +1291,36 @@ let test_pool_stats_invariant () =
     + Array.fold_left ( + ) 0 z.Pool.failed_steals
     + Array.fold_left ( + ) 0 z.Pool.injected_runs)
 
+(* A map runs every task under the GC settings its submitter runs
+   under, on whichever domain the task lands.  On OCaml 5 a change of
+   [minor_heap_size] is a stop-the-world minor collection of every
+   domain, so a pool that retuned the GC around each map would pay two
+   of them per map, however small the map. *)
+let test_pool_map_keeps_gc_settings () =
+  let pool = Pool.create ~oversubscribe:true ~num_domains:1 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  for _ = 1 to 200 do
+    let submitter = (Gc.get ()).minor_heap_size in
+    List.iter
+      (check_int "task's minor_heap_size = submitter's" submitter)
+      (Pool.parallel_map ~pool
+         (fun _ -> (Gc.get ()).minor_heap_size)
+         [ 0; 1 ])
+  done
+
+let test_pool_map_minor_collections () =
+  let pool = Pool.create ~oversubscribe:true ~num_domains:1 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let maps = 2_000 in
+  let before = (Gc.quick_stat ()).minor_collections in
+  for _ = 1 to maps do
+    ignore (Sys.opaque_identity (Pool.parallel_map ~pool succ [ 0; 1 ]))
+  done;
+  let collections = (Gc.quick_stat ()).minor_collections - before in
+  if collections >= 100 then
+    Alcotest.failf "%d two-task maps: %d minor collections (>= 100)" maps
+      collections
+
 (* The tentpole determinism property: a pool rigged to maximise
    stealing — oversubscribed workers, a deque that starts at capacity
    2 and must grow mid-map, task costs that vary by orders of
@@ -1359,6 +1389,40 @@ let test_normal_quantile_symmetry () =
     (abs_float (Rng.normal_quantile 0.975 +. Rng.normal_quantile 0.025) < 1e-6);
   check_bool "97.5th percentile" true
     (abs_float (Rng.normal_quantile 0.975 -. 1.95996) < 1e-3)
+
+(* One probe per branch and at both branch edges: the lower tail, the
+   central rational, the upper tail. *)
+let quantile_probes = [ 1e-10; 0.01; 0.02425; 0.5; 0.97575; 0.999 ]
+
+let test_normal_quantile_bits () =
+  let expected =
+    [ -4604523785301252219L; -4610951148344644366L; -4611807791036653767L;
+      0L; 4611564245818122041L; 4614141003328006178L ]
+  in
+  List.iter2
+    (fun p bits ->
+      Alcotest.(check int64)
+        (Printf.sprintf "normal_quantile %h" p)
+        bits
+        (Int64.bits_of_float (Rng.normal_quantile p)))
+    quantile_probes expected
+
+(* The coefficient tables are built once, not per call: what is left
+   is the boxed argument and the boxed result.  Only native code
+   unboxes the arithmetic, so the budget holds there alone. *)
+let test_normal_quantile_alloc () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let ps = Array.of_list quantile_probes in
+  let calls = 6_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    ignore
+      (Sys.opaque_identity
+         (Rng.normal_quantile (Sys.opaque_identity ps.(i mod Array.length ps))))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  if words > 4.0 then
+    Alcotest.failf "normal_quantile: %.2f words/call > 4" words
 
 let test_chart_logx () =
   let s =
@@ -1464,6 +1528,10 @@ let () =
           Alcotest.test_case "lognormal positive" `Quick test_lognormal_positive;
           Alcotest.test_case "pareto support" `Quick test_pareto_support;
           Alcotest.test_case "normal quantile" `Quick test_normal_quantile_symmetry;
+          Alcotest.test_case "normal quantile bits" `Quick
+            test_normal_quantile_bits;
+          Alcotest.test_case "normal quantile allocation" `Quick
+            test_normal_quantile_alloc;
         ] );
       ( "deque",
         [
@@ -1512,6 +1580,10 @@ let () =
           Alcotest.test_case "clamped to cores" `Quick test_pool_clamped_to_cores;
           Alcotest.test_case "stats provenance invariant" `Quick
             test_pool_stats_invariant;
+          Alcotest.test_case "map keeps GC settings" `Quick
+            test_pool_map_keeps_gc_settings;
+          Alcotest.test_case "map minor collections" `Quick
+            test_pool_map_minor_collections;
         ]
         @ qsuite [ pool_forced_steal_identity ] );
       ( "table",
