@@ -1,5 +1,5 @@
 # Convenience aliases around dune; ci.sh remains the authoritative gate.
-.PHONY: build test lint lint-json lint-sarif dscheck doc ci trace-smoke perfbench-digests chaos-smoke scale-smoke scale history diff
+.PHONY: build test lint lint-json lint-sarif dscheck doc ci trace-smoke perfbench-digests scale-smoke scale history diff
 
 build:
 	dune build
@@ -63,12 +63,6 @@ perfbench-digests:
 	  done; \
 	done
 
-# The robustness gate from ci.sh, standalone: deterministic
-# harness-fault injection (retry, quarantine, kill-and-resume,
-# mid-write crash) — see docs/ROBUSTNESS.md.
-chaos-smoke:
-	dune exec simos -- chaos --smoke
-
 # The sharded-DES gate from ci.sh, standalone: serial-vs-sharded
 # byte-identity plus the fast-forward speedup bar (>= 4 cores) — see
 # docs/SHARDING.md.
@@ -82,7 +76,7 @@ scale:
 
 # The tagged bench trajectory (perf/scale, smoke included) and the
 # regression diff against the previous run — see
-# docs/OBSERVABILITY.md §3.
+# docs/OBSERVABILITY.md §2.
 history:
 	dune exec bench/main.exe -- history
 

@@ -100,8 +100,8 @@ let flush_obs ~trace_path ~print_tables obs =
 let wall_clock () = Unix.gettimeofday ()
 
 (* A single carriage-return-rewritten progress line for long suite
-   runs.  Only when stderr is a TTY: CI logs, journaled runs and
-   redirected output see nothing, so recorded bytes stay identical.
+   runs.  Only when stderr is a TTY: CI logs and redirected output see
+   nothing, so recorded bytes stay identical.
    The callback runs on pool worker domains, hence the mutex. *)
 let heartbeat label =
   if not (Unix.isatty Unix.stderr) then None
@@ -174,73 +174,15 @@ let format_arg =
     & opt (enum [ ("table", `Table); ("csv", `Csv); ("json", `Json) ]) `Table
     & info [ "format"; "f" ] ~docv:"FORMAT" ~doc)
 
-let journal_arg =
-  let doc =
-    "Record completed cells into an append-only journal at $(docv) as they \
-     finish, so a killed run can be resumed later with --resume."
-  in
-  Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"PATH" ~doc)
-
-let resume_arg =
-  let doc =
-    "Resume from the journal at $(docv): cells already recorded are replayed \
-     (output stays byte-identical to an uninterrupted run), only missing \
-     cells are recomputed, and new completions are appended."
-  in
-  Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"PATH" ~doc)
-
-(* The journaled path runs cells under supervision; the summary goes
-   to stderr so stdout stays byte-identical fresh-vs-resumed.  The
-   quarantine count rides along so the command can exit non-zero on a
-   partial report. *)
-let with_journal (path, replay) cells regroup =
-  let j = Engine.Journal.open_ ~replay ~path () in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> Engine.Journal.close j)
-      (fun () ->
-        (* Journaled runs fly with the black box armed: a quarantined
-           cell leaves flight-<cell_key>.json next to the journal. *)
-        Cluster.Experiment.supervised_points ~journal:j
-          ~flight_dir:(Filename.dirname path) cells)
-  in
-  prerr_endline (Cluster.Report.supervision_summary s);
-  (regroup s, s.Cluster.Experiment.quarantined)
-
-(* A quarantined cell means the stdout report is partial: scripts/CI
-   consuming it must be able to tell, so the exit status says so even
-   though the run itself completed gracefully. *)
-let ok_unless_quarantined quarantined =
-  if quarantined = 0 then `Ok ()
-  else
-    `Error
-      ( false,
-        Printf.sprintf
-          "%d cell(s) quarantined; the report is partial (details on stderr)"
-          quarantined )
-
 let sweep_cmd =
-  let action app runs seed format jobs journal resume =
+  let action app runs seed format jobs =
     let* app = Cluster.Validate.app app in
     let* runs = Cluster.Validate.runs runs in
     let* jobs = Cluster.Validate.jobs jobs in
-    let* jmode =
-      Cluster.Validate.journal_mode ~journal ~resume ~obs_active:false
-    in
     set_jobs jobs;
-    let series, quarantined =
-      match jmode with
-      | None ->
-          ( Cluster.Experiment.compare_scenarios
-              ~scenarios:Cluster.Scenario.trio ~app ~runs ~seed (),
-            0 )
-      | Some mode ->
-          with_journal mode
-            (Cluster.Experiment.compare_cells ~scenarios:Cluster.Scenario.trio
-               ~app ~runs ~seed ())
-            (fun s ->
-              Cluster.Experiment.series_of_supervised
-                s.Cluster.Experiment.outcomes)
+    let series =
+      Cluster.Experiment.compare_scenarios ~scenarios:Cluster.Scenario.trio
+        ~app ~runs ~seed ()
     in
     (match format with
     | `Csv -> print_string (Cluster.Report.csv ~app series)
@@ -257,14 +199,13 @@ let sweep_cmd =
         in
         print_string (Cluster.Report.relative_table ~app ~baseline series);
         print_string (Cluster.Report.relative_chart ~app ~baseline series));
-    ok_unless_quarantined quarantined
+    `Ok ()
   in
   let doc = "Sweep one application over its node counts under all three kernels." in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
       ret
-        (const action $ app_arg $ runs_arg $ seed_arg $ format_arg $ jobs_arg
-       $ journal_arg $ resume_arg))
+        (const action $ app_arg $ runs_arg $ seed_arg $ format_arg $ jobs_arg))
 
 (* ------------------------------------------------------------------ *)
 (* simos suite                                                         *)
@@ -285,8 +226,7 @@ let des_shards_arg =
   Arg.(value & opt (some int) None & info [ "des-shards" ] ~docv:"S" ~doc)
 
 let suite_cmd =
-  let action runs seed format jobs nodes des_shards trace_path metrics journal
-      resume =
+  let action runs seed format jobs nodes des_shards trace_path metrics =
     let* runs = Cluster.Validate.runs runs in
     let* jobs = Cluster.Validate.jobs jobs in
     let* node_counts =
@@ -306,29 +246,13 @@ let suite_cmd =
           | Ok s -> Ok (Some s)
           | Error e -> Error e)
     in
-    let* jmode =
-      Cluster.Validate.journal_mode ~journal ~resume
-        ~obs_active:(trace_path <> None || metrics)
-    in
     set_jobs jobs;
     let obs = make_obs ~trace_path ~metrics in
-    let suite, quarantined =
-      match jmode with
-      | None ->
-          let progress = heartbeat "suite" in
-          let s =
-            Cluster.Experiment.suite ?obs ?progress ?node_counts ~runs ~seed ()
-          in
-          finish_heartbeat progress;
-          (s, 0)
-      | Some mode ->
-          let per_app =
-            Cluster.Experiment.suite_cells ?node_counts ~runs ~seed ()
-          in
-          with_journal mode
-            (List.concat_map snd per_app)
-            (Cluster.Experiment.suite_of_supervised per_app)
+    let progress = heartbeat "suite" in
+    let suite =
+      Cluster.Experiment.suite ?obs ?progress ?node_counts ~runs ~seed ()
     in
+    finish_heartbeat progress;
     (match format with
     | `Table ->
         Printf.printf
@@ -371,7 +295,7 @@ let suite_cmd =
             "%d sharded-DES divergence(s): the parallel simulation does not \
              match the serial heap"
             divergences )
-    else ok_unless_quarantined quarantined
+    else `Ok ()
   in
   let doc =
     "Run the paper's full evaluation — every application under all three \
@@ -384,8 +308,7 @@ let suite_cmd =
     Term.(
       ret
         (const action $ runs_arg $ seed_arg $ format_arg $ jobs_arg
-       $ suite_nodes_arg $ des_shards_arg $ trace_path_arg $ metrics_arg
-       $ journal_arg $ resume_arg))
+       $ suite_nodes_arg $ des_shards_arg $ trace_path_arg $ metrics_arg))
 
 (* ------------------------------------------------------------------ *)
 (* simos ltp                                                           *)
@@ -690,31 +613,6 @@ let profile_cmd =
         (const action $ profile_nodes_arg $ profile_shards_arg $ seed_arg
        $ jobs_arg $ bucket_us_arg $ top_arg $ profile_out_arg $ sched_arg))
 
-(* ------------------------------------------------------------------ *)
-(* simos chaos                                                         *)
-
-let chaos_cmd =
-  let smoke_arg =
-    let doc =
-      "Small cell grid — the deterministic CI gate (see ci.sh)."
-    in
-    Arg.(value & flag & info [ "smoke" ] ~doc)
-  in
-  let action seed smoke =
-    let report = Cluster.Chaos.run ~seed ~smoke () in
-    print_string (Cluster.Chaos.render report);
-    if Cluster.Chaos.passed report then `Ok ()
-    else `Error (false, "chaos self-test failed")
-  in
-  let doc =
-    "Inject faults into the harness itself — seeded task exceptions, a \
-     simulated mid-write crash, a kill-and-resume cycle against the run \
-     journal — and verify the robustness contracts: no lost cells, \
-     quarantine instead of pool poisoning, byte-identical resumed output.  \
-     Everything is seeded and simulated, so the self-test is deterministic."
-  in
-  Cmd.v (Cmd.info "chaos" ~doc) Term.(ret (const action $ seed_arg $ smoke_arg))
-
 let () =
   let doc = "lightweight multi-kernel operating system simulator" in
   let info = Cmd.info "simos" ~version ~doc in
@@ -723,5 +621,5 @@ let () =
        (Cmd.group info
           [
             run_cmd; sweep_cmd; suite_cmd; faults_cmd; trace_cmd; ltp_cmd;
-            node_cmd; apps_cmd; calibration_cmd; profile_cmd; chaos_cmd;
+            node_cmd; apps_cmd; calibration_cmd; profile_cmd;
           ]))

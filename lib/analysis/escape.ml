@@ -124,7 +124,6 @@ let prepass resolve (str : Typedtree.structure) =
 let triggers =
   [
     "Pool.parallel_map";
-    "Pool.parallel_map_result";
     "Pool.parallel_map_on";
     "Pool.parallel_run_on";
     "Pool.submit";

@@ -1,16 +1,16 @@
 (** R8/R9: the typed closure passes.
 
     {b R8 — domain escape.}  Closures handed to [Pool.parallel_map] /
-    [parallel_map_result] / [parallel_map_on] / [parallel_run_on] /
-    [submit], the [Experiment] fan-out entry points, or [Shard.run] /
+    [parallel_map_on] / [parallel_run_on] / [submit], the
+    [Experiment] fan-out entry points, or [Shard.run] /
     [Shard.schedule] execute on worker domains.  The pass flags
     mutable values captured from the enclosing scope — refs, hash
     tables, buffers, queues, stacks, bytes, records with mutable
     fields, and arrays the closure writes — unless the value provably
     stays domain-local: allocated inside the closure, routed through
     [Engine.Scratch], or used under [Mutex.protect] (or a
-    [Mutex.lock]-led sequence, the Journal pattern).  Let-bound task
-    functions are resolved one level ([let task = fun … in
+    [Mutex.lock]-led sequence).  Let-bound task functions are
+    resolved one level ([let task = fun … in
     Pool.parallel_map task]); arbitrary call graphs are not chased,
     so the rule is a detector for the provable shape, not an alias
     analysis.

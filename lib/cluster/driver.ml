@@ -564,8 +564,7 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
               end));
       let sync_cost = max_alive clocks - before in
       with_obs obs (fun r ->
-          (* Constant names: a black box meters nothing, and its
-             sync spans should not allocate a name either. *)
+          (* Constant names: a sync span allocates no name. *)
           let name, metric =
             match sync with
             | `Allreduce _ -> ("allreduce", "allreduce_ns")

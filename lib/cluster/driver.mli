@@ -69,8 +69,7 @@ val run :
     [obs] installs a {!Mk_obs.Recorder} for the run's duration: every
     instrumented layer counts into it (via {!Mk_obs.Hook}) and, when
     the recorder traces, the driver emits setup/iteration/sync spans
-    and fault instants on the simulated clock — once each, so a
-    {!Mk_obs.Recorder.black_box} holds what a [--trace] run records.
+    and fault instants on the simulated clock, once each.
     Omitting it installs nothing and emits no spans: the layers keep
     whatever recorder {!Mk_obs.Hook} already holds, by default the
     zero-cost Null sink. *)

@@ -19,9 +19,8 @@ type cell = {
 
 let default_runs = 5
 
-(* Repetition [i] of a cell perturbs the base seed deterministically;
-   part of the cell's identity (see [cell_key]), so it must never
-   change without bumping [cell_salt]. *)
+(* Repetition [i] of a cell perturbs the base seed deterministically,
+   so every run of a cell is reproducible from the cell alone. *)
 let seed_of c i = c.seed + (100 * i)
 
 let summarise ~nodes results =
@@ -136,9 +135,7 @@ let point ?pool ?faults ?obs ~scenario ~app ~nodes ?(runs = default_runs)
   | _ -> assert false
 
 (* Cell builders — the one place each orchestrator's cell layout is
-   defined, shared with the supervised/journaled path so a journal
-   written by [simos sweep --journal] replays against exactly the
-   cells a fresh run would compute. *)
+   defined. *)
 let sweep_cells ~scenario ~app ?node_counts ?(runs = default_runs)
     ?(seed = 42) () =
   let counts = Option.value node_counts ~default:app.Mk_apps.App.node_counts in
@@ -223,41 +220,7 @@ let suite ?pool ?obs ?progress ?apps ?node_counts ?runs ?seed () =
     (split_groups (List.map (fun (_, cs) -> List.length cs) per_app) ps)
 
 (* ------------------------------------------------------------------ *)
-(* Supervised, journaled execution.                                    *)
-
-(* Version salt folded into every cell key.  Bump it whenever the
-   meaning of a cell changes — the seed schedule ([seed_of]), the
-   Driver's arithmetic, the summary statistics — so stale journal
-   entries miss instead of replaying wrong numbers. *)
-let cell_salt = "multikernel-cell/1"
-
-let cell_fingerprint c =
-  Mk_engine.Json.(
-    to_string
-      (Obj
-         [
-           ("salt", String cell_salt);
-           ("scenario", String c.scenario.Scenario.label);
-           ("app", String c.app.Mk_apps.App.name);
-           ("nodes", Int c.nodes);
-           ("runs", Int c.runs);
-           ("seed", Int c.seed);
-           ( "faults",
-             match c.faults with
-             | None -> Null
-             | Some p -> Mk_fault.Plan.to_json p );
-         ]))
-
-let cell_key c = Digest.to_hex (Digest.string (cell_fingerprint c))
-
-let cell_label c =
-  Printf.sprintf "%s/%s/n%d/r%d/s%d" c.app.Mk_apps.App.name
-    c.scenario.Scenario.label c.nodes c.runs c.seed
-
-(* Static work-unit cost of a cell — deterministic by construction
-   (no event counting, no clocks), which is all the budget needs to
-   be to catch a pathologically sized cell before it runs. *)
-let cell_units c = c.runs * c.nodes * c.app.Mk_apps.App.sim_iterations
+(* JSON rendering of a point. *)
 
 let result_to_json (r : Driver.result) =
   Mk_engine.Json.(
@@ -279,36 +242,6 @@ let result_to_json (r : Driver.result) =
         ("recoveries", Int r.Driver.recoveries);
       ])
 
-exception Bad_field of string
-
-let int_field fields name =
-  match List.assoc_opt name fields with
-  | Some (Mk_engine.Json.Int i) -> i
-  | _ -> raise (Bad_field name)
-
-let float_field fields name =
-  match List.assoc_opt name fields with
-  | Some (Mk_engine.Json.Float f) -> f
-  | _ -> raise (Bad_field name)
-
-let result_of_json_exn fields : Driver.result =
-  {
-    Driver.nodes = int_field fields "nodes";
-    total_time = int_field fields "total_time";
-    solve_time = int_field fields "solve_time";
-    setup_time = int_field fields "setup_time";
-    first_iteration = int_field fields "first_iteration";
-    steady_iteration = int_field fields "steady_iteration";
-    fom = float_field fields "fom";
-    mcdram_fraction = float_field fields "mcdram_fraction";
-    faults = int_field fields "faults";
-    offloads_per_iteration = int_field fields "offloads_per_iteration";
-    failures = int_field fields "failures";
-    fault_events = int_field fields "fault_events";
-    dead_nodes = int_field fields "dead_nodes";
-    recoveries = int_field fields "recoveries";
-  }
-
 let point_to_json (p : point) =
   Mk_engine.Json.(
     Obj
@@ -319,222 +252,6 @@ let point_to_json (p : point) =
         ("max_fom", Float p.max_fom);
         ("median_result", result_to_json p.median_result);
       ])
-
-let point_of_json json : (point, string) result =
-  match json with
-  | Mk_engine.Json.Obj fields -> (
-      try
-        let median_result =
-          match List.assoc_opt "median_result" fields with
-          | Some (Mk_engine.Json.Obj rf) -> result_of_json_exn rf
-          | _ -> raise (Bad_field "median_result")
-        in
-        Ok
-          {
-            nodes = int_field fields "nodes";
-            median_fom = float_field fields "median_fom";
-            min_fom = float_field fields "min_fom";
-            max_fom = float_field fields "max_fom";
-            median_result;
-          }
-      with Bad_field name -> Error (Printf.sprintf "bad field %S" name))
-  | _ -> Error "point is not an object"
-
-type outcome = Completed of point | Quarantined of { error : string; attempts : int }
-
-type supervised = {
-  outcomes : (cell * outcome) list;
-  computed : int;
-  replayed : int;
-  retries : int;
-  quarantined : int;
-  backoff_ns : int;
-}
-
-let flight_path ~dir ~key = Filename.concat dir ("flight-" ^ key ^ ".json")
-
-let supervised_points ?pool ?(policy = Supervise.default) ?journal ?chaos
-    ?flight_dir cells =
-  List.iter
-    (fun c ->
-      if c.runs <= 0 then
-        invalid_arg "Experiment.supervised_points: runs must be positive")
-    cells;
-  let chaos = Option.value chaos ~default:(fun ~cell:_ ~attempt:_ -> ()) in
-  let indexed = List.mapi (fun i c -> (i, c, cell_key c)) cells in
-  (* One task per CELL (not per repetition): a cell is the unit of
-     retry, quarantine and journaling, so its repetitions must live
-     and die together.  Inside the task the repetitions run
-     sequentially with exactly the seeds [points] would use, so a
-     supervised run's numbers are identical to an unsupervised one. *)
-  let task (i, c, key) =
-    let replayed =
-      match
-        Option.bind journal (fun j -> Mk_engine.Journal.find j ~key)
-      with
-      | None -> None
-      | Some json -> (
-          (* An unparseable journal value is treated as a miss — the
-             cell is simply recomputed. *)
-          match point_of_json json with Ok p -> Some p | Error _ -> None)
-    in
-    match replayed with
-    | Some p -> `Replayed p
-    | None ->
-        (* Black box: one bounded, non-metering recorder for the
-           whole supervised extent (all attempts share one ring — the
-           tail of the last, fatal attempt survives wraparound).
-           Created, filled and rendered on this worker domain only;
-           the immutable dump document crosses to the submitter
-           through the pool barrier below. *)
-        let box =
-          Option.map
-            (fun _ -> Mk_obs.Recorder.black_box ~label:(cell_label c) ~seed:c.seed ())
-            flight_dir
-        in
-        let mark fmt =
-          Printf.ksprintf
-            (fun name ->
-              Option.iter
-                (fun r ->
-                  Mk_obs.Recorder.instant r ~ts:0 ~node:0 ~tid:0 ~cat:"cell" ~name ())
-                box)
-            fmt
-        in
-        let out =
-          Supervise.run
-            ~chaos:(fun ~attempt ->
-              mark "attempt %d" attempt;
-              chaos ~cell:i ~attempt)
-            policy
-            (fun () ->
-              Supervise.check_budget policy ~units:(cell_units c);
-              summarise ~nodes:c.nodes
-                (List.init c.runs (fun r ->
-                     mark "repetition %d" r;
-                     Driver.run ?obs:box ?faults:c.faults ~scenario:c.scenario
-                       ~app:c.app ~nodes:c.nodes ~seed:(seed_of c r) ())))
-        in
-        (* Record from the worker, as soon as the cell completes: a
-           kill between cells then loses nothing already done. *)
-        (match (out.Supervise.result, journal) with
-        | Ok p, Some j ->
-            Mk_engine.Journal.record j ~key ~label:(cell_label c)
-              (point_to_json p)
-        | _ -> ());
-        let dump =
-          match (out.Supervise.result, box) with
-          | Error { Supervise.error; _ }, Some r ->
-              Some (Mk_obs.Recorder.black_box_json ~cell_key:key ~reason:error r)
-          | _ -> None
-        in
-        `Computed (out, dump)
-  in
-  let raw = Mk_engine.Pool.parallel_map_result ?pool task indexed in
-  let zero =
-    {
-      outcomes = [];
-      computed = 0;
-      replayed = 0;
-      retries = 0;
-      quarantined = 0;
-      backoff_ns = 0;
-    }
-  in
-  (* Black-box dumps happen here, on the submitting domain after the
-     barrier — one writer, cell order, through the same crash-safe
-     rename as every other artifact. *)
-  let dump_flight ~key dump =
-    match (flight_dir, dump) with
-    | Some dir, Some doc ->
-        Mk_engine.Atomic_file.write (flight_path ~dir ~key)
-          (Mk_engine.Json.to_string_pretty doc ^ "\n")
-    | _ -> ()
-  in
-  let s =
-    List.fold_left2
-      (fun acc (_, c, key) r ->
-        match r with
-        | Ok (`Replayed p) ->
-            {
-              acc with
-              outcomes = (c, Completed p) :: acc.outcomes;
-              replayed = acc.replayed + 1;
-            }
-        | Ok (`Computed (out, dump)) -> (
-            let retries = acc.retries + out.Supervise.attempts - 1 in
-            let backoff_ns = acc.backoff_ns + out.Supervise.backoff_ns in
-            match out.Supervise.result with
-            | Ok p ->
-                {
-                  acc with
-                  outcomes = (c, Completed p) :: acc.outcomes;
-                  computed = acc.computed + 1;
-                  retries;
-                  backoff_ns;
-                }
-            | Error { Supervise.error; attempts } ->
-                dump_flight ~key dump;
-                {
-                  acc with
-                  outcomes = (c, Quarantined { error; attempts }) :: acc.outcomes;
-                  quarantined = acc.quarantined + 1;
-                  retries;
-                  backoff_ns;
-                })
-        | Error (e, _bt) ->
-            (* The supervisor itself escaped (journal I/O failure,
-               …): still contained — sibling cells keep their
-               results.  [attempts = 0] marks a supervisor failure as
-               opposed to an exhausted retry budget. *)
-            {
-              acc with
-              outcomes =
-                (c, Quarantined { error = Printexc.to_string e; attempts = 0 })
-                :: acc.outcomes;
-              quarantined = acc.quarantined + 1;
-            })
-      zero indexed raw
-  in
-  let s = { s with outcomes = List.rev s.outcomes } in
-  (* Supervision counters, emitted once on the submitting domain
-     after the barrier — deterministic, like every other obs merge. *)
-  if s.replayed > 0 then
-    Mk_obs.Hook.count ~subsystem:"supervise" ~name:"journal_hits" s.replayed;
-  if s.retries > 0 then
-    Mk_obs.Hook.count ~subsystem:"supervise" ~name:"retries" s.retries;
-  if s.quarantined > 0 then
-    Mk_obs.Hook.count ~subsystem:"supervise" ~name:"quarantines" s.quarantined;
-  s
-
-let series_of_supervised outcomes =
-  let labels =
-    List.fold_left
-      (fun acc (c, _) ->
-        let l = c.scenario.Scenario.label in
-        if List.mem l acc then acc else acc @ [ l ])
-      [] outcomes
-  in
-  List.map
-    (fun l ->
-      {
-        scenario_label = l;
-        points =
-          List.filter_map
-            (fun (c, o) ->
-              if c.scenario.Scenario.label = l then
-                match o with Completed p -> Some p | Quarantined _ -> None
-              else None)
-            outcomes;
-      })
-    labels
-
-let suite_of_supervised per_app s =
-  let sizes = List.map (fun (_, cs) -> List.length cs) per_app in
-  List.map2
-    (fun (app, _) block -> (app, series_of_supervised block))
-    per_app
-    (split_groups sizes s.outcomes)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded-DES validation tier (simos suite --des-shards) *)

@@ -141,9 +141,8 @@ val suite :
 (** {1 Cell builders}
 
     The cell layouts behind {!sweep}, {!compare_scenarios} and
-    {!suite}, exposed so the supervised/journaled path below fans out
-    over {e exactly} the cells a fresh orchestrator call would
-    compute — the resume-identity contract depends on it. *)
+    {!suite}, exposed so a caller can run {e exactly} the cells an
+    orchestrator call would compute through {!points}. *)
 
 val sweep_cells :
   scenario:Scenario.t ->
@@ -173,99 +172,11 @@ val suite_cells :
   unit ->
   (Mk_apps.App.t * cell list) list
 
-(** {1 Supervised, journaled execution}
-
-    The crash-safe counterpart of {!points}: each cell runs under a
-    {!Supervise.policy} (retry-with-backoff on transient failure,
-    work-unit budget, quarantine instead of pool poisoning) and,
-    given a {!Mk_engine.Journal}, completed cells are recorded as
-    they finish and replayed on resume.  See [docs/ROBUSTNESS.md]. *)
-
-val cell_salt : string
-(** Code-version salt folded into {!cell_key}.  Bump on any change to
-    the meaning of a cell (seed schedule, driver arithmetic, summary
-    statistics) so stale journals miss instead of replaying wrong
-    numbers. *)
-
-val cell_fingerprint : cell -> string
-(** Canonical JSON of everything a cell's result depends on: the
-    salt, scenario label, app name, nodes, runs, seed and the fault
-    plan. *)
-
-val cell_key : cell -> string
-(** Hex digest of {!cell_fingerprint} — the journal key. *)
-
-val cell_label : cell -> string
-(** Human-readable cell identity, stored next to the key in journal
-    entries. *)
-
-val cell_units : cell -> int
-(** Static work-unit cost ([runs x nodes x sim_iterations]) checked
-    against {!Supervise.policy}[.budget] — deterministic, no clocks. *)
+(** {1 JSON} *)
 
 val point_to_json : point -> Mk_engine.Json.t
-
-val point_of_json : Mk_engine.Json.t -> (point, string) result
-(** Exact inverse of {!point_to_json} (floats round-trip bit-exactly
-    through the deterministic {!Mk_engine.Json} rendering); [Error]
-    on malformed input, which the replay path treats as a journal
-    miss. *)
-
-type outcome =
-  | Completed of point
-  | Quarantined of { error : string; attempts : int }
-
-type supervised = {
-  outcomes : (cell * outcome) list;  (** one per input cell, in order *)
-  computed : int;  (** cells actually simulated this run *)
-  replayed : int;  (** cells served from the journal *)
-  retries : int;  (** extra attempts across all cells *)
-  quarantined : int;  (** cells that exhausted their attempts *)
-  backoff_ns : int;  (** simulated backoff accumulated by retries *)
-}
-
-val flight_path : dir:string -> key:string -> string
-(** Where {!supervised_points} drops a quarantined cell's black box:
-    [dir/flight-<key>.json]. *)
-
-val supervised_points :
-  ?pool:Mk_engine.Pool.t ->
-  ?policy:Supervise.policy ->
-  ?journal:Mk_engine.Journal.t ->
-  ?chaos:(cell:int -> attempt:int -> unit) ->
-  ?flight_dir:string ->
-  cell list ->
-  supervised
-(** Like {!points}, but each {e cell} is one supervised task (its
-    repetitions live and die together): a raising cell is retried
-    per the policy and finally quarantined — sibling cells always
-    complete.  Completed cells are recorded into [journal] as they
-    finish (worker-side, so a killed run keeps them) and replayed
-    from it on resume; a replayed cell is bit-identical to a
-    recomputed one.  [chaos] injects a fault before attempt
-    [attempt] of cell [cell] (input index) — the {!Chaos} harness
-    hook.  [flight_dir] arms a {!Mk_obs.Recorder.black_box} for
-    every computed cell and passes it to {!Driver.run} as [~obs], so
-    while the cell runs it shadows any ambient {!Mk_obs.Hook}
-    recorder; when a cell is quarantined the box's last 512 events
-    are dumped crash-safely to {!flight_path} (submitter-side, after
-    the barrier), so the quarantine report is never the only
-    evidence.  Emits
-    [supervise/journal_hits,retries,quarantines] counters through
-    {!Mk_obs.Hook} after the barrier.  Raises [Invalid_argument] if
-    any cell has [runs <= 0]. *)
-
-val series_of_supervised : (cell * outcome) list -> series list
-(** Regroup supervised outcomes into report series: one series per
-    distinct scenario label in first-appearance order, quarantined
-    cells dropped (the degradation report names them instead). *)
-
-val suite_of_supervised :
-  (Mk_apps.App.t * cell list) list ->
-  supervised ->
-  (Mk_apps.App.t * series list) list
-(** Regroup a supervised run over [suite_cells] blocks back into the
-    {!suite} result shape. *)
+(** A point and its median run as one JSON object — every field,
+    floats rendered by the deterministic {!Mk_engine.Json} printer. *)
 
 (** {1 Sharded-DES validation}
 

@@ -330,24 +330,6 @@ let suite_json ~runs ~seed ?(meta = []) ?obs suite =
         ("apps", List (List.map (fun (app, series) -> json ~app series) suite));
       ])
 
-let supervision_summary (s : Experiment.supervised) =
-  let b = Buffer.create 256 in
-  Printf.bprintf b
-    "supervision: %d cell(s) computed, %d replayed from journal, %d retrie(s), %d quarantined"
-    s.Experiment.computed s.Experiment.replayed s.Experiment.retries
-    s.Experiment.quarantined;
-  if s.Experiment.backoff_ns > 0 then
-    Printf.bprintf b " (%d ns simulated backoff)" s.Experiment.backoff_ns;
-  List.iter
-    (fun (c, o) ->
-      match o with
-      | Experiment.Completed _ -> ()
-      | Experiment.Quarantined { error; attempts } ->
-          Printf.bprintf b "\n  quarantined %s after %d attempt(s): %s"
-            (Experiment.cell_label c) attempts error)
-    s.Experiment.outcomes;
-  Buffer.contents b
-
 (* One row per scenario: both DES formulations side by side, plus the
    conservative-protocol counters that explain where the parallel run
    spent its epochs.  "ok" is the byte-identity verdict the CLI turns

@@ -42,9 +42,11 @@ val suite_headline :
   (Mk_apps.App.t * Experiment.series list) list ->
   (string * float * float) list
 (** Per LWK label: (label, median improvement, best improvement)
-    across every (application × node count) point, as ratios
-    (1.0 = parity).  The paper reports a median of 1.09 with a best
-    of 3.8 (Section I). *)
+    across every (application × node count) point of [suite], as
+    ratios (1.0 = parity).  Over the full suite that is all eight
+    applications, Lulesh included, so this is not the paper's
+    statistic: the paper's median of 9 % (Section I) is taken over
+    the Figure-4 points only, which [bench headline] computes. *)
 
 val metrics_table : Mk_obs.Collect.t -> string
 (** Every collected metric, one row per [(kernel, node, subsystem,
@@ -74,12 +76,6 @@ val des_table : Experiment.des_check list -> string
     protocol's counters (events, cross-shard messages, nulls, epochs,
     fast-forwarded iterations).  The final column says whether the two
     runs were byte-identical. *)
-
-val supervision_summary : Experiment.supervised -> string
-(** The degradation report: computed/replayed/retried/quarantined
-    counts plus one line per quarantined cell (label, attempts,
-    error).  The CLI prints this to {e stderr} so journaled stdout
-    stays byte-identical between fresh and resumed runs. *)
 
 val profile_timeline : label:string -> Mk_obs.Profile.t -> string
 (** The engine self-profile of one sharded-DES run: a summary line

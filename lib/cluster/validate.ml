@@ -82,18 +82,3 @@ let rates s =
           | None -> Error (Printf.sprintf "invalid rate %S: not a number" p))
     in
     go [] parts
-
-let journal_mode ~journal ~resume ~obs_active =
-  match (journal, resume) with
-  | None, None -> Ok None
-  | Some _, Some _ ->
-      Error
-        "--journal and --resume are mutually exclusive: --resume both replays \
-         and records"
-  | (Some _, None | None, Some _) when obs_active ->
-      Error
-        "--journal/--resume cannot be combined with --trace/--metrics: \
-         replayed cells record nothing, so observed output would differ \
-         between fresh and resumed runs"
-  | Some path, None -> Ok (Some (path, false))
-  | None, Some path -> Ok (Some (path, true))

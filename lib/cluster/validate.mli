@@ -39,15 +39,3 @@ val fault_preset : string -> (string, string) result
 
 val rates : string -> (float list, string) result
 (** Comma-separated non-negative fault rates, e.g. ["0.5,1,2"]. *)
-
-val journal_mode :
-  journal:string option ->
-  resume:string option ->
-  obs_active:bool ->
-  ((string * bool) option, string) result
-(** Resolve the [--journal PATH] (record-only) / [--resume PATH]
-    (replay and record) flags into [Some (path, replay)].  The two
-    flags are mutually exclusive, and neither combines with
-    [--trace]/[--metrics]: a replayed cell records no metrics, so the
-    observed output of a resumed run could not stay byte-identical to
-    a fresh one. *)

@@ -7,8 +7,8 @@
     either the old complete file or the new complete file, never a
     truncated mix — and because the staged bytes are fsynced first,
     the rename never publishes a page-cache-only file that a power cut
-    could truncate.  The bench results pipeline and the run journal
-    ({!Journal}) route every snapshot through this. *)
+    could truncate.  The bench results pipeline and every exported
+    trace or metrics document route their writes through this. *)
 
 exception Corrupt of { path : string; reason : string }
 (** Raised by {!read} / {!read_json} when [path] cannot be read or
@@ -47,4 +47,5 @@ val with_crash_after_bytes : int -> (unit -> 'a) -> 'a
     extent of [f]: the next {!write} whose payload exceeds [n] bytes
     stages exactly [n] bytes and raises {!Crashed}, leaving the torn
     staging file behind and the destination untouched.  Used by the
-    chaos self-test ([simos chaos]). *)
+    [atomic-file] tests to check that a torn write never replaces the
+    previous complete file. *)

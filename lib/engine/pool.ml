@@ -530,12 +530,6 @@ let parallel_map_on pool f xs =
     rs;
   List.map (function Ok v -> v | Error _ -> assert false) rs
 
-let seq_map_result f xs =
-  List.map
-    (fun x ->
-      try Ok (f x) with e -> Error (e, Printexc.get_raw_backtrace ()))
-    xs
-
 let parallel_map ?pool f xs =
   if Domain.DLS.get in_worker then List.map f xs
   else
@@ -543,11 +537,3 @@ let parallel_map ?pool f xs =
     match pool with
     | Some p when List.compare_length_with xs 2 >= 0 -> parallel_map_on p f xs
     | _ -> List.map f xs
-
-let parallel_map_result ?pool f xs =
-  if Domain.DLS.get in_worker then seq_map_result f xs
-  else
-    let pool = match pool with Some _ as p -> p | None -> get_default () in
-    match pool with
-    | Some p when List.compare_length_with xs 2 >= 0 -> parallel_run_on p f xs
-    | _ -> seq_map_result f xs

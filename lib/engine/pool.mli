@@ -144,19 +144,6 @@ val parallel_map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
     absent and no default pool is configured, when [xs] has fewer
     than two elements, or when called from inside a pool worker. *)
 
-val parallel_map_result :
-  ?pool:t ->
-  ('a -> 'b) ->
-  'a list ->
-  ('b, exn * Printexc.raw_backtrace) result list
-(** Like {!parallel_map}, but a task exception never discards sibling
-    work: each task's outcome is returned in its own input-order slot,
-    [Ok v] or [Error (exn, backtrace)].  This is the primitive the
-    experiment supervisor builds on — a quarantined cell must not cost
-    the run its other cells.  Pool poisoning (from a raw {!submit}
-    job) still re-raises: poisoning means worker domains died, which
-    is not a per-task condition. *)
-
 (** {1 Process-wide default}
 
     The CLI surfaces parallelism as a [-j]/[--jobs] flag; the flag

@@ -1,5 +1,5 @@
 (** Engine self-profiler: deterministic timelines of sharded-DES
-    internals (docs/OBSERVABILITY.md §3).
+    internals (docs/OBSERVABILITY.md §2).
 
     One [t] accompanies one {!Mk_engine.Shard.run}: feed {!observe}
     as the run's [observer] and every epoch's protocol-determined

@@ -11,93 +11,24 @@ type event = {
   seq : int;
 }
 
-(* Unbounded: every event, newest first.  Bounded: a ring in which
-   event [seq] lives in slot [seq mod capacity], so which events
-   survive wraparound is a pure function of the record count — the
-   same for sequential and -j N runs.  The ring is stored column by
-   column, in arrays of ints and shared strings: recording into it
-   allocates nothing, and a ring that has reached the major heap keeps
-   no young event records alive.  Events are rebuilt only when read. *)
-type ring = {
-  r_ts : int array;
-  r_dur : int array;  (** [no_dur] for an instant *)
-  r_pid : int array;
-  r_tid : int array;
-  r_cat : string array;
-  r_name : string array;
-  r_args : (string * Json.t) list array;
-}
+(* Every event, newest first. *)
+type t = { mutable rev : event list; mutable next_seq : int }
 
-type store = All of { mutable rev : event list } | Ring of ring
-type t = { store : store; mutable next_seq : int }
-
-let no_dur = min_int
-
-let create ?capacity () =
-  let store =
-    match capacity with
-    | None -> All { rev = [] }
-    | Some c when c <= 0 -> invalid_arg "Trace.create: capacity must be positive"
-    | Some c ->
-        let ints () = Array.make c 0 and strings () = Array.make c "" in
-        Ring
-          {
-            r_ts = ints ();
-            r_dur = ints ();
-            r_pid = ints ();
-            r_tid = ints ();
-            r_cat = strings ();
-            r_name = strings ();
-            r_args = Array.make c [];
-          }
-  in
-  { store; next_seq = 0 }
+let create () = { rev = []; next_seq = 0 }
 
 let record t ~ts ~dur ~pid ~tid ~cat ~name ~args =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  match t.store with
-  | All a ->
-      let dur = if dur = no_dur then None else Some dur in
-      a.rev <- { ts; dur; pid; tid; cat; name; args; seq } :: a.rev
-  | Ring r ->
-      let i = seq mod Array.length r.r_ts in
-      r.r_ts.(i) <- ts;
-      r.r_dur.(i) <- dur;
-      r.r_pid.(i) <- pid;
-      r.r_tid.(i) <- tid;
-      r.r_cat.(i) <- cat;
-      r.r_name.(i) <- name;
-      r.r_args.(i) <- args
+  t.rev <- { ts; dur; pid; tid; cat; name; args; seq } :: t.rev
 
 let span t ~ts ~dur ~pid ~tid ~cat ~name ?(args = []) () =
-  record t ~ts ~dur ~pid ~tid ~cat ~name ~args
+  record t ~ts ~dur:(Some dur) ~pid ~tid ~cat ~name ~args
 
 let instant t ~ts ~pid ~tid ~cat ~name ?(args = []) () =
-  record t ~ts ~dur:no_dur ~pid ~tid ~cat ~name ~args
+  record t ~ts ~dur:None ~pid ~tid ~cat ~name ~args
 
-let events t =
-  match t.store with
-  | All a -> List.rev a.rev
-  | Ring r ->
-      let cap = Array.length r.r_ts in
-      let kept = min t.next_seq cap in
-      List.init kept (fun k ->
-          let seq = t.next_seq - kept + k in
-          let i = seq mod cap in
-          {
-            ts = r.r_ts.(i);
-            dur = (if r.r_dur.(i) = no_dur then None else Some r.r_dur.(i));
-            pid = r.r_pid.(i);
-            tid = r.r_tid.(i);
-            cat = r.r_cat.(i);
-            name = r.r_name.(i);
-            args = r.r_args.(i);
-            seq;
-          })
-
+let events t = List.rev t.rev
 let length t = t.next_seq
-let capacity t = match t.store with All _ -> None | Ring r -> Some (Array.length r.r_ts)
 
 (* Merge order: simulated time, then the stable per-event sequence
    number assigned at record (or re-assigned at Collect.add) time.

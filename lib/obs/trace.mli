@@ -22,11 +22,8 @@ type event = {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Unbounded by default.  [capacity] makes the trace a ring that
-    keeps only the last [capacity] events, each with its original
-    [seq], so a gap before the first kept event shows what wraparound
-    dropped.  Raises [Invalid_argument] if [capacity <= 0]. *)
+val create : unit -> t
+(** An empty trace; it keeps every event recorded into it. *)
 
 val span :
   t ->
@@ -52,13 +49,10 @@ val instant :
   unit
 
 val events : t -> event list
-(** In record order; a bounded trace returns its surviving events. *)
+(** In record order. *)
 
 val length : t -> int
-(** Events recorded since {!create}, wraparound included. *)
-
-val capacity : t -> int option
-(** [None] for an unbounded trace. *)
+(** Events recorded since {!create}. *)
 
 val compare_event : event -> event -> int
 (** [(ts, seq)] lexicographic — the only order traces are merged or

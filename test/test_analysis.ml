@@ -394,7 +394,7 @@ let test_r8_domain_escape () =
            && String.sub v.message 0 6 = "buffer")
          r8);
     (* The three negatives: closure-local table (n1), Scratch-routed
-       per-domain state (n2), mutex-guarded Journal pattern (n3). *)
+       per-domain state (n2), mutex-guarded shared state (n3). *)
     check_bool "no finding past line 11" true
       (List.for_all (fun (v : Rule.violation) -> v.line <= 11) r8)
   end

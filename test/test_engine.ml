@@ -751,97 +751,6 @@ let test_atomic_concurrent_writers () =
       check_bool "one complete payload wins" true (final = a || final = b))
 
 (* ------------------------------------------------------------------ *)
-(* Journal *)
-
-let test_journal_roundtrip () =
-  in_temp "journal" (fun path ->
-      Sys.remove path;
-      let j = Journal.open_ ~path () in
-      Journal.record j ~key:"a" ~label:"cell a" (Json.Int 1);
-      Journal.record j ~key:"b" ~label:"cell b"
-        (Json.Obj [ ("x", Json.Float 0.5) ]);
-      check_bool "find after record" true
-        (Journal.find j ~key:"a" = Some (Json.Int 1));
-      Journal.close j;
-      let j2 = Journal.open_ ~path () in
-      check_int "loaded" 2 (Journal.loaded j2);
-      check_int "torn" 0 (Journal.torn j2);
-      check_bool "replayed value" true
-        (Journal.find j2 ~key:"b" = Some (Json.Obj [ ("x", Json.Float 0.5) ]));
-      check_bool "missing key misses" true (Journal.find j2 ~key:"c" = None);
-      Journal.close j2)
-
-let test_journal_torn_tail () =
-  in_temp "jtorn" (fun path ->
-      Sys.remove path;
-      let j = Journal.open_ ~path () in
-      Journal.record j ~key:"a" ~label:"a" (Json.Int 1);
-      Journal.record j ~key:"b" ~label:"b" (Json.Int 2);
-      Journal.close j;
-      (* A killed writer leaves half a line; reload must keep the
-         complete prefix and count the torn tail. *)
-      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-      output_string oc "{\"key\":\"c\",\"la";
-      close_out oc;
-      let j2 = Journal.open_ ~path () in
-      check_int "complete entries load" 2 (Journal.loaded j2);
-      check_int "torn line counted" 1 (Journal.torn j2);
-      check_bool "good entries replay" true
-        (Journal.find j2 ~key:"b" = Some (Json.Int 2));
-      Journal.close j2)
-
-let test_journal_torn_tail_repaired_on_append () =
-  in_temp "jrepair" (fun path ->
-      Sys.remove path;
-      let j = Journal.open_ ~path () in
-      Journal.record j ~key:"a" ~label:"a" (Json.Int 1);
-      Journal.close j;
-      let torn_tail () =
-        let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-        output_string oc "{\"key\":\"b\",\"la";
-        close_out oc
-      in
-      (* Crash → resume (which records a new cell) → crash → resume:
-         the record appended by the first resume must not fuse with
-         the torn line, or the second resume silently loses it. *)
-      torn_tail ();
-      let j2 = Journal.open_ ~path () in
-      check_int "torn tail detected" 1 (Journal.torn j2);
-      Journal.record j2 ~key:"c" ~label:"c" (Json.Int 3);
-      Journal.close j2;
-      torn_tail ();
-      let j3 = Journal.open_ ~path () in
-      check_int "both records survive two resumes" 2 (Journal.loaded j3);
-      check_bool "resumed record replays" true
-        (Journal.find j3 ~key:"c" = Some (Json.Int 3));
-      Journal.close j3;
-      (* A missing final newline with a parseable last line is
-         repaired with a separator, not truncated. *)
-      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-      output_string oc "{\"key\":\"d\",\"label\":\"d\",\"value\":4}";
-      close_out oc;
-      let j4 = Journal.open_ ~path () in
-      check_int "newline-less last line still loads" 3 (Journal.loaded j4);
-      Journal.record j4 ~key:"e" ~label:"e" (Json.Int 5);
-      Journal.close j4;
-      let j5 = Journal.open_ ~path () in
-      check_int "no fusion after separator" 4 (Journal.loaded j5);
-      check_bool "newline-less entry kept" true
-        (Journal.find j5 ~key:"d" = Some (Json.Int 4));
-      Journal.close j5)
-
-let test_journal_record_only () =
-  in_temp "jrec" (fun path ->
-      Sys.remove path;
-      let j = Journal.open_ ~path () in
-      Journal.record j ~key:"a" ~label:"a" (Json.Int 1);
-      Journal.close j;
-      let j2 = Journal.open_ ~replay:false ~path () in
-      check_int "entries still counted" 1 (Journal.loaded j2);
-      check_bool "but never replayed" true (Journal.find j2 ~key:"a" = None);
-      Journal.close j2)
-
-(* ------------------------------------------------------------------ *)
 (* Deque: the Chase–Lev ring under the work-stealing pool *)
 
 (* List literals evaluate right to left — sequence the takes
@@ -1104,35 +1013,30 @@ let test_pool_exception_propagates () =
     (Pool.parallel_map ~pool (fun x -> 2 * x) [ 1; 2 ]);
   Pool.shutdown pool
 
-let test_pool_map_result_keeps_siblings () =
+(* [parallel_map] reports the first failure in input order, and only
+   once every other task has run: tasks 3, 10 and 17 raise, the other
+   17 count themselves, and the raise must name task 3 whichever
+   executor reached a failing task first. *)
+let test_pool_first_failure_after_siblings () =
   let pool = Pool.create ~oversubscribe:true ~num_domains:3 () in
-  let rs =
-    Pool.parallel_map_result ~pool
-      (fun i ->
-        if i mod 7 = 3 then failwith (Printf.sprintf "boom %d" i) else i * i)
-      (List.init 20 Fun.id)
+  let ran = Atomic.make 0 in
+  let task i =
+    if i mod 7 = 3 then failwith (Printf.sprintf "boom %d" i)
+    else begin
+      Atomic.incr ran;
+      i * i
+    end
   in
-  check_int "every slot present" 20 (List.length rs);
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok v ->
-          check_bool "only non-raising slots succeed" true (i mod 7 <> 3);
-          check_int "sibling survives with its value" (i * i) v
-      | Error (Failure msg, _) ->
-          check_bool "failure in its own slot" true
-            (i mod 7 = 3 && msg = Printf.sprintf "boom %d" i)
-      | Error _ -> Alcotest.fail "unexpected exception")
-    rs;
-  (* The pool is not poisoned: a plain map still works after. *)
+  Alcotest.check_raises "first failure in input order" (Failure "boom 3")
+    (fun () -> ignore (Pool.parallel_map ~pool task (List.init 20 Fun.id)));
+  check_int "every other task ran before the raise" 17 (Atomic.get ran);
   Alcotest.(check (list int))
     "usable after failures" [ 2; 4 ]
     (Pool.parallel_map ~pool (fun x -> 2 * x) [ 1; 2 ]);
   Pool.shutdown pool;
-  (* The sequential fallback captures exceptions the same way. *)
-  match Pool.parallel_map_result (fun i -> if i = 1 then failwith "x" else i) [ 0; 1 ] with
-  | [ Ok 0; Error (Failure msg, _) ] when msg = "x" -> ()
-  | _ -> Alcotest.fail "sequential fallback differs"
+  (* The no-pool fallback is [List.map]: same first failure. *)
+  Alcotest.check_raises "sequential fallback" (Failure "boom 3") (fun () ->
+      ignore (Pool.parallel_map task (List.init 20 Fun.id)))
 
 let test_pool_reuse () =
   let pool = Pool.create ~oversubscribe:true ~num_domains:2 () in
@@ -1512,14 +1416,6 @@ let () =
           Alcotest.test_case "concurrent writers" `Quick
             test_atomic_concurrent_writers;
         ] );
-      ( "journal",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_journal_roundtrip;
-          Alcotest.test_case "torn tail" `Quick test_journal_torn_tail;
-          Alcotest.test_case "torn tail repaired on append" `Quick
-            test_journal_torn_tail_repaired_on_append;
-          Alcotest.test_case "record-only" `Quick test_journal_record_only;
-        ] );
       ( "distributions",
         [
           Alcotest.test_case "poisson mean" `Slow test_poisson_mean;
@@ -1564,8 +1460,8 @@ let () =
           Alcotest.test_case "ordering preserved" `Quick test_pool_ordering;
           Alcotest.test_case "exception propagates" `Quick
             test_pool_exception_propagates;
-          Alcotest.test_case "map_result keeps siblings" `Quick
-            test_pool_map_result_keeps_siblings;
+          Alcotest.test_case "first failure after siblings" `Quick
+            test_pool_first_failure_after_siblings;
           Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
           Alcotest.test_case "single worker degenerate" `Quick
             test_pool_single_worker_degenerate;

@@ -35,8 +35,7 @@ let test_give_up_time () =
   (* 4 timeouts + backoffs 200/400/800 us. *)
   check_int "mpi" 3_400_000 (Retry.give_up_time Retry.default_mpi)
 
-(* The harness supervisor (Mk_cluster.Supervise) now reuses these
-   policies, so their edge cases get property coverage too. *)
+(* The retry policies' edge cases get property coverage too. *)
 let policy_gen =
   QCheck.(
     map

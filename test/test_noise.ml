@@ -128,25 +128,14 @@ let words_per_draw ?(dur = 2 * Units.ms) ?(ranks = 64) profile =
 
 (* The draw runs once per node per synchronisation point, so its
    minor-heap traffic is the simulator's allocation rate.  Only native
-   code unboxes floats and int64s, so the budget holds there alone.
-   A black box is armed on every journaled cell; since it meters
-   nothing, a draw under it must allocate exactly what a draw with no
-   recorder does (the same seed makes the same draws). *)
+   code unboxes floats and int64s, so the budget holds there alone. *)
 let test_max_delay_alloc_budget () =
   if Sys.backend_type <> Sys.Native then Alcotest.skip ();
   check_bool "no recorder installed" true (Mk_obs.Hook.active () = None);
-  let boxed profile =
-    let box = Mk_obs.Recorder.black_box ~label:"cell" ~seed:42 () in
-    Mk_obs.Hook.with_recorder box (fun () -> words_per_draw profile)
-  in
   let linux = words_per_draw Profile.linux_default
   and mos = words_per_draw Profile.mos_lwk in
   if linux > 64.0 then Alcotest.failf "linux_default: %.1f words/draw > 64" linux;
-  if mos > 8.0 then Alcotest.failf "mos_lwk: %.1f words/draw > 8" mos;
-  Alcotest.(check (float 0.0)) "linux_default under a black box" linux
-    (boxed Profile.linux_default);
-  Alcotest.(check (float 0.0)) "mos_lwk under a black box" mos
-    (boxed Profile.mos_lwk)
+  if mos > 8.0 then Alcotest.failf "mos_lwk: %.1f words/draw > 8" mos
 
 
 (* Under a metering recorder each strike is charged to its source's

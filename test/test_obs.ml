@@ -379,223 +379,6 @@ let test_trace_nonempty () =
   check_bool "metrics non-trivial" true (String.length metrics > 100)
 
 (* ------------------------------------------------------------------ *)
-(* The flight recorder: the bounded, non-metering black box *)
-
-let test_flight_under_capacity () =
-  let r = Recorder.black_box ~label:"cell" ~seed:7 () in
-  check_bool "does not meter" false (Recorder.meters r);
-  Recorder.span r ~ts:0 ~dur:10 ~node:0 ~tid:0 ~cat:"phase" ~name:"setup" ();
-  Recorder.instant r ~ts:5 ~node:1 ~tid:0 ~cat:"fault" ~name:"crash" ();
-  Recorder.count r ~subsystem:"mpi" ~name:"straggler" 3;
-  Recorder.observe r ~subsystem:"mpi" ~name:"allreduce_ns" 9;
-  Recorder.gauge r ~subsystem:"ikc" ~name:"proxy_queue_ns" 4;
-  let s = Recorder.snapshot r in
-  check_bool "metrics dropped" true (s.Recorder.snap_metrics = []);
-  check_bool "seqs in record order" true
-    (List.map (fun e -> e.Trace.seq) s.Recorder.snap_events = [ 0; 1 ]);
-  check_bool "events in record order" true
-    (List.map (fun e -> e.Trace.name) s.Recorder.snap_events
-    = [ "setup"; "crash" ])
-
-(* The black box is armed through the one ambient slot: instrumented
-   code reaches it via [Hook.active], it drops every metric sample,
-   and a nested box shadows, then restores, the outer one.  A run
-   given a box arms it only for its own extent: the recorder installed
-   around the run is restored with its cursor and counters untouched. *)
-let test_flight_ambient () =
-  check_bool "starts unarmed" true (Hook.active () = None);
-  let record name =
-    Option.iter
-      (fun r -> Recorder.instant r ~ts:0 ~node:0 ~tid:0 ~cat:"c" ~name ())
-      (Hook.active ())
-  in
-  record "dropped" (* unarmed: a no-op *);
-  let recorded r = List.length (Recorder.snapshot r).Recorder.snap_events in
-  let outer = Recorder.black_box ~label:"outer" ~seed:0 () in
-  let inner = Recorder.black_box ~label:"inner" ~seed:0 () in
-  Hook.with_recorder outer (fun () ->
-      check_bool "armed inside" true (Hook.active () <> None);
-      record "a";
-      Hook.count ~subsystem:"s" ~name:"c" 1 (* metered by nobody *);
-      Hook.with_recorder inner (fun () -> record "b");
-      record "d");
-  check_bool "restored to unarmed" true (Hook.active () = None);
-  check_int "outer saw its two events" 2 (recorded outer);
-  check_int "inner saw one" 1 (recorded inner);
-  check_bool "box meters nothing" true
-    ((Recorder.snapshot outer).Recorder.snap_metrics = []);
-  let around = Recorder.make ~label:"around" ~nodes:1 ~seed:0 () in
-  let box = Recorder.black_box ~label:"run" ~seed:42 () in
-  Hook.with_recorder around (fun () ->
-      ignore
-        (Mk_cluster.Driver.run ~obs:box ~scenario:Mk_cluster.Scenario.linux
-           ~app:(app "hpcg") ~nodes:2 ~seed:42 ());
-      check_bool "outer recorder restored" true
-        (Option.map Recorder.label (Hook.active ()) = Some "around"));
-  check_bool "run filled the box" true (recorded box > 0);
-  check_int "outer cursor unmoved" Key.job_wide (Recorder.node around);
-  check_bool "outer counters untouched" true
-    ((Recorder.snapshot around).Recorder.snap_metrics = [])
-
-let test_flight_dump_shape () =
-  let r = Recorder.black_box ~label:"cell" ~seed:1 () in
-  for i = 0 to 599 do
-    Recorder.instant r ~ts:i ~node:(i mod 2) ~tid:0 ~cat:"c"
-      ~name:(string_of_int i) ()
-  done;
-  match Recorder.black_box_json ~cell_key:"k" ~reason:"why" r with
-  | Mk_engine.Json.Obj fields -> (
-      let str n =
-        match List.assoc_opt n fields with
-        | Some (Mk_engine.Json.String s) -> s
-        | _ -> "?"
-      in
-      let int n =
-        match List.assoc_opt n fields with
-        | Some (Mk_engine.Json.Int i) -> i
-        | _ -> -1
-      in
-      check_string "schema" "multikernel-flight/1" (str "schema");
-      check_string "label" "cell" (str "label");
-      check_int "seed" 1 (int "seed");
-      check_string "cell key" "k" (str "cell_key");
-      check_string "reason" "why" (str "reason");
-      check_int "capacity" 512 (int "capacity");
-      check_int "recorded" 600 (int "recorded");
-      check_int "dropped" 88 (int "dropped");
-      match List.assoc_opt "trace" fields with
-      | Some (Mk_engine.Json.Obj t) -> (
-          match List.assoc_opt "traceEvents" t with
-          | Some (Mk_engine.Json.List evs) ->
-              (* 512 kept events plus one process_name per node *)
-              check_int "perfetto events" (512 + 2) (List.length evs)
-          | _ -> Alcotest.fail "traceEvents missing")
-      | _ -> Alcotest.fail "trace document missing")
-  | _ -> Alcotest.fail "dump is not an object"
-
-let flight_wraparound =
-  QCheck.Test.make
-    ~name:"flight ring: last-N survive any overwrite pattern" ~count:200
-    QCheck.(pair (int_range 1 16) (int_range 0 200))
-    (fun (capacity, n) ->
-      let t = Trace.create ~capacity () in
-      (* Even events are spans of duration i, odd ones instants: the
-         ring must give each its own kind back. *)
-      for i = 0 to n - 1 do
-        let name = string_of_int i in
-        if i mod 2 = 0 then
-          Trace.span t ~ts:i ~dur:i ~pid:i ~tid:0 ~cat:"c" ~name ()
-        else Trace.instant t ~ts:i ~pid:i ~tid:0 ~cat:"c" ~name ()
-      done;
-      let kept = min n capacity in
-      let evs = Trace.events t in
-      Trace.length t = n
-      && Trace.capacity t = Some capacity
-      && List.length evs = kept
-      && List.for_all2
-           (fun j (e : Trace.event) ->
-             let expect = n - kept + j in
-             e.Trace.seq = expect
-             && e.Trace.ts = expect
-             && e.Trace.pid = expect
-             && e.Trace.dur = (if expect mod 2 = 0 then Some expect else None)
-             && e.Trace.name = string_of_int expect)
-           (List.init kept Fun.id) evs)
-
-(* A quarantined cell's black box must be byte-identical between a
-   sequential and an oversubscribed parallel supervised run — the
-   ring only ever records DES-clock events from its own cell. *)
-
-let with_temp_dir prefix f =
-  let path = Filename.temp_file prefix "" in
-  Sys.remove path;
-  Sys.mkdir path 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun e -> try Sys.remove (Filename.concat path e) with Sys_error _ -> ())
-        (Sys.readdir path);
-      try Sys.rmdir path with Sys_error _ -> ())
-    (fun () -> f path)
-
-let flight_dump_bytes ?pool seed =
-  let cells =
-    Mk_cluster.Experiment.compare_cells
-      ~scenarios:[ Mk_cluster.Scenario.mckernel ]
-      ~app:(app "hpcg") ~node_counts:[ 4; 8 ] ~runs:2 ~seed ()
-  in
-  let victim = seed mod List.length cells in
-  let chaos ~cell ~attempt:_ =
-    if cell = victim then failwith "qc: killed for the black box"
-  in
-  with_temp_dir "mkflightqc" @@ fun dir ->
-  let s =
-    Mk_cluster.Experiment.supervised_points ?pool ~chaos ~flight_dir:dir cells
-  in
-  Alcotest.(check int) "one quarantine" 1 s.Mk_cluster.Experiment.quarantined;
-  let key = Mk_cluster.Experiment.cell_key (List.nth cells victim) in
-  let ic = open_in_bin (Mk_cluster.Experiment.flight_path ~dir ~key) in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let flight_dump_identity =
-  QCheck.Test.make ~name:"flight dump: -j 2 = sequential" ~count:4
-    QCheck.small_nat (fun seed ->
-      let pool = Mk_engine.Pool.create ~oversubscribe:true ~num_domains:2 () in
-      Fun.protect ~finally:(fun () -> Mk_engine.Pool.shutdown pool) @@ fun () ->
-      flight_dump_bytes seed = flight_dump_bytes ~pool seed)
-
-(* A cell that raises inside Driver.run: its black box holds the
-   Driver's own events up to the failure, not just the supervisor's
-   markers. *)
-let test_flight_driver_death () =
-  let hpcg = app "hpcg" in
-  let failing ~nodes:_ ~iteration =
-    if iteration = 3 then failwith "trace: iteration 3" else []
-  in
-  let cell =
-    {
-      Mk_cluster.Experiment.scenario = Mk_cluster.Scenario.linux;
-      app = { hpcg with Mk_apps.App.trace = Some failing };
-      nodes = 4;
-      faults = None;
-      runs = 1;
-      seed = 42;
-    }
-  in
-  with_temp_dir "mkflightdrv" @@ fun dir ->
-  let s = Mk_cluster.Experiment.supervised_points ~flight_dir:dir [ cell ] in
-  check_int "quarantined" 1 s.Mk_cluster.Experiment.quarantined;
-  let path =
-    Mk_cluster.Experiment.flight_path ~dir
-      ~key:(Mk_cluster.Experiment.cell_key cell)
-  in
-  let names =
-    match Mk_engine.Atomic_file.read_json path with
-    | Mk_engine.Json.Obj fields -> (
-        match List.assoc_opt "trace" fields with
-        | Some (Mk_engine.Json.Obj t) -> (
-            match List.assoc_opt "traceEvents" t with
-            | Some (Mk_engine.Json.List evs) ->
-                List.filter_map
-                  (function
-                    | Mk_engine.Json.Obj e -> (
-                        match List.assoc_opt "name" e with
-                        | Some (Mk_engine.Json.String n) -> Some n
-                        | _ -> None)
-                    | _ -> None)
-                  evs
-            | _ -> [])
-        | _ -> [])
-    | _ -> []
-  in
-  List.iter
-    (fun n -> check_bool ("dump names " ^ n) true (List.mem n names))
-    [ "repetition 0"; "setup"; "allreduce"; "iter 2" ];
-  check_bool "nothing after the failure" false (List.mem "iter 3" names)
-
-(* ------------------------------------------------------------------ *)
 (* Profile: bucket folding and the deterministic document *)
 
 let sample ~epoch ~bound ~horizon ~events ~cross ~nulls ~stalls ~backlog =
@@ -717,17 +500,6 @@ let () =
           Alcotest.test_case "counters sum to executed jobs" `Quick
             test_pool_stats_counters_sum;
         ] );
-      ( "flight",
-        [
-          Alcotest.test_case "under capacity" `Quick test_flight_under_capacity;
-          Alcotest.test_case "ambient arm/restore" `Quick test_flight_ambient;
-          Alcotest.test_case "dump shape" `Quick test_flight_dump_shape;
-        ]
-        @ qsuite [ flight_wraparound; flight_dump_identity ]
-        @ [
-            Alcotest.test_case "dies inside the driver" `Quick
-              test_flight_driver_death;
-          ] );
       ( "profile",
         [
           Alcotest.test_case "bucket folding" `Quick test_profile_buckets;
