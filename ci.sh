@@ -39,6 +39,13 @@ dune runtest
 dune exec test/test_fault.exe >/dev/null
 dune exec test/test_engine.exe -- test atomic-file >/dev/null
 dune exec test/test_engine.exe -- test pool >/dev/null
+# The noise draw's Poisson tables are per domain: two domains drawing
+# through one profile at once must each equal the sequential oracle.
+# A table shared between domains goes wrong only when their walks
+# overlap, so the case runs five times.
+for _ in 1 2 3 4 5; do
+  dune exec test/test_noise.exe -- test domains >/dev/null
+done
 
 # Cross-domain identity gates, repeated: the profile document and the
 # sharded-DES pool identity each compare a -j 2 run with a sequential

@@ -78,9 +78,9 @@ let setup_memory node (app : Mk_apps.App.t) ~nodes =
             | None -> 0
           in
           let peers =
-            max 1 (Option.value (Hashtbl.find_opt quadrant_ranks home) ~default:1)
+            Int.max 1 (Option.value (Hashtbl.find_opt quadrant_ranks home) ~default:1)
           in
-          min share (local_cap / peers)
+          Int.min share (local_cap / peers)
         end
       in
       Mk_mem.Address_space.set_mcdram_quota
@@ -278,7 +278,7 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
   let shm_costs =
     Mk_kernel.Node.shm_window node ~bytes_per_rank:app.Mk_apps.App.shm_bytes_per_rank
   in
-  let shm_setup = Array.fold_left max 0 shm_costs in
+  let shm_setup = Array.fold_left Int.max 0 shm_costs in
   (* Heap traces replay on every rank: each process owns its heap, so
      the node pays the cost of the slowest rank. *)
   let replay_trace ops =
@@ -509,22 +509,24 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
       (* Advance every node through its compute window plus its
          sampled straggler delay, then synchronise. *)
       let max_skew = ref (-1) and straggler = ref (-1) in
-      Array.iteri
-        (fun n c ->
-          if node_alive n then begin
-            with_obs obs (fun r -> Mk_obs.Recorder.set_node r n);
-            let w = scaled n window in
-            let skew =
-              Mk_noise.Injector.max_delay profile node_rngs.(n)
-                ~dur:(w + !prev_sync) ~ranks:stragglers
-            in
-            if skew > !max_skew then begin
-              max_skew := skew;
-              straggler := n
-            end;
-            clocks.(n) <- c + w + skew
-          end)
-        clocks;
+      (* A loop matching [obs] directly: [with_obs] would allocate a
+         closure capturing [n] for every node at every sync point, with
+         or without a recorder. *)
+      for n = 0 to nodes - 1 do
+        if node_alive n then begin
+          (match obs with Some r -> Mk_obs.Recorder.set_node r n | None -> ());
+          let w = scaled n window in
+          let skew =
+            Mk_noise.Injector.max_delay profile node_rngs.(n)
+              ~dur:(w + !prev_sync) ~ranks:stragglers
+          in
+          if skew > !max_skew then begin
+            max_skew := skew;
+            straggler := n
+          end;
+          clocks.(n) <- clocks.(n) + w + skew
+        end
+      done;
       with_obs obs (fun r ->
           Mk_obs.Recorder.set_node r 0;
           if !max_skew > 0 then
@@ -578,18 +580,17 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
     List.iter apply_sync syncs;
     if syncs = [] then begin
       (* No synchronisation: pure per-node progress. *)
-      Array.iteri
-        (fun n c ->
-          if node_alive n then begin
-            with_obs obs (fun r -> Mk_obs.Recorder.set_node r n);
-            let w = scaled n window in
-            let skew =
-              Mk_noise.Injector.max_delay profile node_rngs.(n) ~dur:w
-                ~ranks:stragglers
-            in
-            clocks.(n) <- c + w + skew
-          end)
-        clocks;
+      for n = 0 to nodes - 1 do
+        if node_alive n then begin
+          (match obs with Some r -> Mk_obs.Recorder.set_node r n | None -> ());
+          let w = scaled n window in
+          let skew =
+            Mk_noise.Injector.max_delay profile node_rngs.(n) ~dur:w
+              ~ranks:stragglers
+          in
+          clocks.(n) <- clocks.(n) + w + skew
+        end
+      done;
       with_obs obs (fun r -> Mk_obs.Recorder.set_node r 0)
     end;
     (* Remainder of the compute that integer division dropped. *)

@@ -32,28 +32,30 @@ let reset_link_factors t =
 let base_latency = 950
 let per_hop = 150
 
+let[@inline] hop_time ~hops ~bytes =
+  base_latency + (hops * per_hop) + Nic.injection_overhead
+  + Mk_engine.Units.transfer_time ~bytes ~bw:Nic.wire_bandwidth
+
+let degraded t = t.degraded
+
+let[@inline] link_factor t n =
+  if n >= 0 && n < Array.length t.link_factors then t.link_factors.(n) else 1.0
+
+let[@inline] scale_link t ~src ~dst w =
+  (* The integer fast path is load-bearing: with no degraded link the
+     arithmetic must be bit-for-bit what it was before fault
+     injection existed. *)
+  if not t.degraded then w
+  else begin
+    let factor = Float.max (link_factor t src) (link_factor t dst) in
+    if factor = 1.0 then w else int_of_float (Float.round (float w *. factor))
+  end
+
 let wire_time t ~src ~dst ~bytes =
   if src = dst then 0
-  else begin
-    let hops = Topology.hops t.topology ~src ~dst in
-    let w =
-      base_latency + (hops * per_hop) + Nic.injection_overhead
-      + Mk_engine.Units.transfer_time ~bytes ~bw:Nic.wire_bandwidth
-    in
-    (* The integer fast path is load-bearing: with no degraded link the
-       arithmetic must be bit-for-bit what it was before fault
-       injection existed. *)
-    if not t.degraded then w
-    else begin
-      let f src_or_dst =
-        if src_or_dst >= 0 && src_or_dst < Array.length t.link_factors then
-          t.link_factors.(src_or_dst)
-        else 1.0
-      in
-      let factor = Float.max (f src) (f dst) in
-      if factor = 1.0 then w else int_of_float (Float.round (float w *. factor))
-    end
-  end
+  else
+    scale_link t ~src ~dst
+      (hop_time ~hops:(Topology.hops t.topology ~src ~dst) ~bytes)
 
 (* The healthy-path cost is identical for every cross-region pair, and
    link degradation only multiplies it upward, so this is a sound
@@ -61,10 +63,7 @@ let wire_time t ~src ~dst ~bytes =
    switches — the sharded DES's lookahead.  [max_int] when the fabric
    has a single region: no cross-region message can exist at all. *)
 let min_cross_region_time t ~bytes =
-  if Topology.regions t.topology <= 1 then max_int
-  else
-    base_latency + (3 * per_hop) + Nic.injection_overhead
-    + Mk_engine.Units.transfer_time ~bytes ~bw:Nic.wire_bandwidth
+  if Topology.regions t.topology <= 1 then max_int else hop_time ~hops:3 ~bytes
 
 let message t ~src ~dst ~bytes =
   let wire = wire_time t ~src ~dst ~bytes in

@@ -14,7 +14,14 @@ val nic : t -> Nic.t
 val topology : t -> Topology.t
 
 val wire_time : t -> src:int -> dst:int -> bytes:int -> Mk_engine.Units.time
-(** Latency + hops + serialisation for one message. *)
+(** Latency + hops + serialisation for one message:
+    [scale_link t ~src ~dst (hop_time ~hops ~bytes)] with [hops] from
+    {!Topology.hops}, and 0 when [src = dst]. *)
+
+val hop_time : hops:int -> bytes:int -> Mk_engine.Units.time
+(** Healthy wire time of a message crossing [hops] switch hops: 1
+    within an edge switch, 3 through a spine.  A collective prices
+    every edge of one call from these two values. *)
 
 val message :
   t ->
@@ -48,3 +55,10 @@ val set_link_factor : t -> node:int -> factor:float -> unit
     [Invalid_argument] when [factor < 1.0]. *)
 
 val reset_link_factors : t -> unit
+
+val degraded : t -> bool
+(** Some link factor above 1 has been set since the last reset. *)
+
+val scale_link : t -> src:int -> dst:int -> Mk_engine.Units.time -> Mk_engine.Units.time
+(** Apply the worse endpoint's link factor to a healthy wire time,
+    rounding as {!wire_time} does; the identity when not {!degraded}. *)

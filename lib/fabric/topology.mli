@@ -23,3 +23,8 @@ val region : t -> int -> int
 
 val regions : t -> int
 (** Number of edge switches ([region] values are [0 .. regions - 1]). *)
+
+val fill_regions : t -> int array -> unit
+(** [fill_regions t a] sets [a.(x)] to [region t x] for every index of
+    [a], counting nodes through each edge switch rather than dividing:
+    a collective compares the regions of every tree edge's ends. *)

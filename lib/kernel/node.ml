@@ -239,7 +239,7 @@ let run_shared_core t ~tasks ~ops_per_task =
             let slice =
               match S.timeslice sched ~runnable:(S.queued sched + 1) with
               | None -> remaining.(i)
-              | Some q -> min q remaining.(i)
+              | Some q -> Int.min q remaining.(i)
             in
             remaining.(i) <- remaining.(i) - slice;
             task.Mk_proc.Task.acct.Mk_proc.Task.context_switches <-

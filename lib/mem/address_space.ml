@@ -358,8 +358,6 @@ let grow_heap_physical t target =
         else added
       in
       t.stats.zeroed_bytes <- t.stats.zeroed_bytes + zero_bytes;
-      let acct = t.heap.Vma.acct in
-      ignore acct;
       let cost =
         if t.strategy.heap_prefault then
           let page =
@@ -372,6 +370,13 @@ let grow_heap_physical t target =
       Ok cost
     end
   end
+
+(* Drop the newest mappings until [freed] bytes' worth are gone; the
+   rest of the list is kept as it is, not copied. *)
+let rec drop_mappings dropped freed = function
+  | (_, bytes, _) :: rest when dropped < freed ->
+      drop_mappings (dropped + bytes) freed rest
+  | mappings -> mappings
 
 let brk t ~delta =
   if delta = 0 then begin
@@ -425,40 +430,27 @@ let brk t ~delta =
       let cost =
         if released > 0 then begin
           let acct = t.heap.Vma.acct in
+          let blocks = t.heap.Vma.blocks in
           let freed = ref 0 in
-          let keep =
-            List.filter
-              (fun (b : Phys.block) ->
-                if !freed < released then begin
-                  Phys.free t.phys b;
-                  freed := !freed + b.Phys.bytes;
-                  let mc = is_mcdram t b.Phys.domain in
-                  acct.Vma.backed <- Int.max 0 (acct.Vma.backed - b.Phys.bytes);
-                  if mc then begin
-                    acct.Vma.mcdram <- Int.max 0 (acct.Vma.mcdram - b.Phys.bytes);
-                    t.mcdram_used <- Int.max 0 (t.mcdram_used - b.Phys.bytes)
-                  end;
-                  (* Heap pages under Linux are small-page backed. *)
-                  acct.Vma.small <- Int.max 0 (acct.Vma.small - b.Phys.bytes);
-                  false
-                end
-                else true)
-              (Blocklist.blocks t.heap.Vma.blocks)
-          in
-          let bag = Blocklist.empty () in
-          List.iter (Blocklist.add bag) keep;
-          t.heap.Vma.blocks <- bag;
-          (* Newest-first mappings go away with the freed blocks. *)
-          let dropped = ref 0 in
-          t.heap.Vma.mappings <-
-            List.filter
-              (fun (_, bytes, _) ->
-                if !dropped < !freed then begin
-                  dropped := !dropped + bytes;
-                  false
-                end
-                else true)
-              t.heap.Vma.mappings;
+          while !freed < released && not (Blocklist.is_empty blocks) do
+            let b = Blocklist.pop blocks in
+            Phys.free t.phys b;
+            freed := !freed + b.Phys.bytes;
+            acct.Vma.backed <- Int.max 0 (acct.Vma.backed - b.Phys.bytes);
+            if is_mcdram t b.Phys.domain then begin
+              acct.Vma.mcdram <- Int.max 0 (acct.Vma.mcdram - b.Phys.bytes);
+              t.mcdram_used <- Int.max 0 (t.mcdram_used - b.Phys.bytes)
+            end;
+            (* Heap pages under Linux are small-page backed. *)
+            acct.Vma.small <- Int.max 0 (acct.Vma.small - b.Phys.bytes)
+          done;
+          (* The survivors come out reversed, so the next shrink starts
+             from the oldest block, not the newest: the recorded
+             brk-shrink reversal (ROADMAP item 2), kept until the
+             claims table lets its fix re-record the Lulesh digests. *)
+          Blocklist.reverse blocks;
+          (* Newest-first mappings go away with the freed bytes. *)
+          t.heap.Vma.mappings <- drop_mappings 0 !freed t.heap.Vma.mappings;
           t.heap_mapped_top <- new_top;
           t.heap.Vma.len <- Int.max 0 (new_top - heap_base_addr);
           brk_vma_cost + (Page.count ~bytes:released Page.Small * 15)

@@ -1,16 +1,28 @@
-(** A bag of physical blocks with bulk release.
+(** The physical blocks backing one VMA, in a deque whose reversal is
+    O(1).
 
-    VMAs keep their backing blocks here so that unmap can return
-    everything to the right {!Phys} allocator.  The type parameter is
-    phantom-ish (we store {!Phys.block} directly); the module exists
-    to keep [Vma] free of a direct dependency cycle with [Phys]. *)
+    [add] puts a block at the front and [pop] takes the front one, so
+    without a [reverse] the order is newest first.  [reverse] flips the
+    whole sequence in place: after it, [pop] returns the oldest block,
+    and later [add]s still go to the (new) front.  Every operation is
+    O(1) amortised, so a Linux [brk] shrink costs O(blocks freed), not
+    O(blocks held).  The module keeps [Vma] free of a direct
+    dependency cycle with [Phys]. *)
 
-type 'a t
+type t
 
-val empty : unit -> 'a t
-val add : 'a t -> Phys.block -> unit
-val blocks : 'a t -> Phys.block list
-val release_all : 'a t -> Phys.t -> unit
-(** Free every block into the allocator and empty the bag. *)
+val empty : unit -> t
+val is_empty : t -> bool
 
-val total_bytes : 'a t -> int
+val add : t -> Phys.block -> unit
+(** Put a block at the front. *)
+
+val pop : t -> Phys.block
+(** Take the front block.  Raises [Invalid_argument] when empty. *)
+
+val reverse : t -> unit
+(** Reverse the order of the blocks held. *)
+
+val release_all : t -> Phys.t -> unit
+(** Free every block into the allocator, front first, and empty the
+    deque. *)

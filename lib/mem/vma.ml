@@ -13,7 +13,7 @@ type t = {
   mutable len : int;
   backing : backing;
   policy : Policy.t;
-  mutable blocks : Mk_hw.Numa.id Blocklist.t;
+  blocks : Blocklist.t;
   acct : acct;
   mutable mappings : (int * int * Page.size) list;
       (** (vaddr, bytes, page) of each populated extent, newest first *)

@@ -20,7 +20,13 @@ type cost_env = {
 }
 
 val edge_cost : cost_env -> src:int -> dst:int -> bytes:int -> Mk_engine.Units.time
-(** One tree edge: wire + control-syscall time. *)
+(** One tree edge: wire + control-syscall time.  {!allreduce} prices
+    its edges to the same integers from two wire prices per call. *)
+
+val regions : Mk_fabric.Fabric.t -> int -> int array
+(** [regions fabric n]: the edge switch ({!Mk_fabric.Topology.region})
+    of each of nodes [0 .. n - 1], in a domain-local scratch array that
+    the next call overwrites. *)
 
 val allreduce :
   cost_env -> clocks:Mk_engine.Units.time array -> bytes:int -> unit

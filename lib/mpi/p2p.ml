@@ -17,32 +17,17 @@ let neighbor_offsets ~nodes ~neighbors =
 
 let messages_per_node ~neighbors = neighbors
 
-(* When node [i]'s last neighbour message lands: the latest of its own
-   send completion [acc] and each neighbour's.  A top-level recursion
-   over offsets already normalised into [0, n), so an edge costs one
-   add and one conditional subtract, and no node allocates a closure. *)
-let rec arrival env ~before ~send_cost ~bytes ~n i acc = function
-  | [] -> acc
-  | off :: rest ->
-      let j = i + off in
-      let j = if j >= n then j - n else j in
-      let wire =
-        Mk_fabric.Fabric.wire_time env.Collective.fabric ~src:j ~dst:i ~bytes
-      in
-      arrival env ~before ~send_cost ~bytes ~n i
-        (Int.max acc (before.(j) + send_cost + wire))
-        rest
-
 let halo env ~clocks ~bytes ~neighbors =
   let n = Array.length clocks in
   if n > 1 && neighbors > 0 then begin
     Mk_obs.Hook.count ~subsystem:"mpi" ~name:"halo_calls" 1;
     let offsets =
-      List.map
-        (fun off -> ((off mod n) + n) mod n)
-        (neighbor_offsets ~nodes:n ~neighbors)
+      Array.of_list
+        (List.map
+           (fun off -> ((off mod n) + n) mod n)
+           (neighbor_offsets ~nodes:n ~neighbors))
     in
-    let send_cost = List.length offsets * List.fold_left
+    let send_cost = Array.length offsets * List.fold_left
                       (fun acc s -> acc + env.Collective.syscall_cost s)
                       0
                       (Mk_fabric.Nic.control_syscalls
@@ -54,8 +39,32 @@ let halo env ~clocks ~bytes ~neighbors =
        2048-node clock array was pure minor-heap churn. *)
     let before = Mk_engine.Scratch.int_array ~tag:"p2p.halo.before" ~len:n ~init:0 in
     Array.blit clocks 0 before 0 n;
+    (* Every message of the call costs one of two wire prices: [near]
+       within an edge switch, [far] through a spine.  Only a degraded
+       fabric scales them per edge. *)
+    let fabric = env.Collective.fabric in
+    let region = Collective.regions fabric n in
+    let near = Mk_fabric.Fabric.hop_time ~hops:1 ~bytes
+    and far = Mk_fabric.Fabric.hop_time ~hops:3 ~bytes in
+    let degraded = Mk_fabric.Fabric.degraded fabric in
     for i = 0 to n - 1 do
-      clocks.(i) <-
-        arrival env ~before ~send_cost ~bytes ~n i (before.(i) + send_cost) offsets
+      (* Node [i] proceeds when the last of its own send and its
+         neighbours' messages is done.  The offsets are already in
+         [0, n), so finding a neighbour costs one add and one
+         conditional subtract. *)
+      let arrival = ref (before.(i) + send_cost) in
+      for o = 0 to Array.length offsets - 1 do
+        let j = i + offsets.(o) in
+        let j = if j >= n then j - n else j in
+        let wire =
+          if j = i then 0
+          else begin
+            let w = if region.(i) = region.(j) then near else far in
+            if degraded then Mk_fabric.Fabric.scale_link fabric ~src:j ~dst:i w else w
+          end
+        in
+        arrival := Int.max !arrival (before.(j) + send_cost + wire)
+      done;
+      clocks.(i) <- !arrival
     done
   end

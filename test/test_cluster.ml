@@ -101,6 +101,33 @@ let test_lulesh_brk_mechanism () =
   in
   check_bool "heap optimisation pays" true (mos.Driver.fom > heap_off.Driver.fom)
 
+(* Minor words per node per sync point of a Linux MiniFE run at 1,024
+   nodes with no recorder, the run's set-up included: 10.9.  Most of it
+   is the noise draw's boxed uniforms, 2 words per source.  A closure
+   per node, built for a recorder that is not there, adds 4. *)
+let test_driver_node_sync_alloc_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let nodes = 1024 and minife = app "minife" in
+  let syncs =
+    List.fold_left
+      (fun acc -> function
+        | Mk_apps.App.Allreduce { count; _ } -> acc + count
+        | Mk_apps.App.Halo _ -> acc + 1
+        | Mk_apps.App.Stream _ | Mk_apps.App.Cpu _ | Mk_apps.App.Yields _ -> acc)
+      0 (minife.Mk_apps.App.iteration ~nodes)
+  in
+  let iterations =
+    Int.max 2 (Int.min minife.Mk_apps.App.sim_iterations minife.Mk_apps.App.iterations)
+  in
+  ignore (run ~nodes Scenario.linux "minife");
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (run ~nodes Scenario.linux "minife"));
+  let words =
+    (Gc.minor_words () -. before) /. float_of_int (nodes * syncs * iterations)
+  in
+  if words > 12.0 then
+    Alcotest.failf "%.2f words per node per sync point > 12" words
+
 let test_experiment_point_statistics () =
   let p =
     Experiment.point ~scenario:Scenario.linux ~app:(app "amg") ~nodes:8 ~runs:5 ()
@@ -556,6 +583,8 @@ let () =
           Alcotest.test_case "minife collapse" `Slow test_minife_collapse_at_scale;
           Alcotest.test_case "lulesh brk" `Slow test_lulesh_brk_mechanism;
           Alcotest.test_case "DES smoke counts" `Quick test_des_smoke_counts;
+          Alcotest.test_case "node-sync allocation budget" `Quick
+            test_driver_node_sync_alloc_budget;
         ] );
       ( "experiment",
         [

@@ -513,6 +513,60 @@ let test_as_brk_grow_shrink_linux () =
       check_bool "linux refaults after shrink/grow" true (refault > 0)
   | Error `Enomem -> Alcotest.fail "regrow failed")
 
+(* The Linux brk shrink frees heap blocks newest-first but leaves the
+   survivors reversed, so the next shrink starts from the oldest block
+   (ROADMAP item 2).  Rank 0 of a 64-rank Linux node replaying Lulesh
+   on every rank pins the resulting order: the fix moves these figures
+   and must update them along with the 12 lulesh/linux digests. *)
+let test_as_brk_shrink_order_lulesh () =
+  let lulesh = Mk_apps.Lulesh.app in
+  let node =
+    Mk_kernel.Node.boot ~os:(Mk_cluster.Scenario.linux.Mk_cluster.Scenario.make ())
+      ~ranks:64 ~threads_per_rank:lulesh.Mk_apps.App.threads_per_rank ~seed:42
+  in
+  let trace = Option.get lulesh.Mk_apps.App.trace in
+  let backed iteration =
+    let ops = trace ~nodes:1 ~iteration in
+    for rank = 0 to 63 do
+      ignore (Mk_kernel.Node.run_ops node ~rank ops)
+    done;
+    Address_space.backed_bytes (Mk_kernel.Node.address_space node ~rank:0)
+  in
+  Alcotest.(check (list int))
+    "rank 0 backed bytes after setup and iterations 0-3"
+    [ 267_001_856; 264_552_448; 263_409_664; 263_409_664; 266_846_208 ]
+    (List.map backed [ -1; 0; 1; 2; 3 ])
+
+(* A shrink frees what it frees: on a heap of 256 one-MiB blocks,
+   releasing one MiB must not walk, copy or rebuild the rest. *)
+let test_as_brk_shrink_alloc_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let _, asp = make_linux_as () in
+  let grow_and_touch bytes =
+    match Address_space.brk asp ~delta:bytes with
+    | Ok (top, _) ->
+        let rec touch off =
+          if off < bytes then begin
+            ignore (Address_space.touch asp ~addr:(top - bytes + off) ~bytes:mib ~concurrency:1);
+            touch (off + mib)
+          end
+        in
+        touch 0
+    | Error `Enomem -> Alcotest.fail "linux brk grow failed"
+  in
+  grow_and_touch (256 * mib);
+  let shrinks = 100 and words = ref 0.0 in
+  for _ = 1 to shrinks do
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Address_space.brk asp ~delta:(-mib)));
+    words := !words +. (Gc.minor_words () -. before);
+    grow_and_touch mib
+  done;
+  check_int "heap still backed" (256 * mib) (Address_space.backed_bytes asp);
+  let per_shrink = !words /. float_of_int shrinks in
+  if per_shrink > 64.0 then
+    Alcotest.failf "%.1f words per one-block brk shrink > 64" per_shrink
+
 let test_as_brk_lwk_ignores_shrink () =
   let _, asp = make_as Address_space.mckernel_strategy in
   (match Address_space.brk asp ~delta:(10 * mib) with
@@ -894,5 +948,11 @@ let () =
           Alcotest.test_case "munmap returns memory" `Quick
             test_as_munmap_returns_memory;
         ]
-        @ qsuite [ address_space_model_based ] );
+        @ qsuite [ address_space_model_based ]
+        @ [
+            Alcotest.test_case "linux brk shrink order (lulesh)" `Quick
+              test_as_brk_shrink_order_lulesh;
+            Alcotest.test_case "brk shrink allocation budget" `Quick
+              test_as_brk_shrink_alloc_budget;
+          ] );
     ]

@@ -159,9 +159,11 @@ module Halo_reference = struct
     end
 end
 
-(* Tiny node counts matter most: there the offsets reach +-n.  Byte
-   counts straddle the NIC's eager threshold, so rendezvous control
-   calls are charged on one side; one fabric has a degraded link. *)
+(* Tiny node counts matter most: there the offsets reach +-n; others
+   straddle the 24-node edge switches.  Byte counts straddle the NIC's
+   eager threshold, so rendezvous control calls are charged on one
+   side; one fabric has degraded links on both sides of a switch
+   boundary. *)
 let test_halo_matches_reference () =
   let eager = Mk_fabric.Nic.eager_threshold (Mk_fabric.Nic.make ()) in
   let rng = Mk_engine.Rng.create 17 in
@@ -171,7 +173,10 @@ let test_halo_matches_reference () =
         { (mk_env ~nodes ()) with Collective.syscall_cost = (fun _ -> 700) }
       in
       let degraded = mk_env ~nodes () in
-      Mk_fabric.Fabric.set_link_factor degraded.Collective.fabric ~node:1 ~factor:1.7;
+      List.iter
+        (fun node ->
+          Mk_fabric.Fabric.set_link_factor degraded.Collective.fabric ~node ~factor:1.7)
+        [ 1; 23; 24 ];
       for neighbors = 1 to 26 do
         List.iter
           (fun bytes ->
@@ -188,7 +193,7 @@ let test_halo_matches_reference () =
               [ charged; degraded ])
           [ 8; eager; eager + 1; 1024 * 1024 ]
       done)
-    [ 2; 3; 4; 5; 8; 9; 27; 64; 1000; 2048 ]
+    [ 1; 2; 3; 4; 5; 8; 9; 23; 24; 25; 27; 48; 49; 64; 1000; 2048 ]
 
 (* A halo runs once per sync point per iteration, so at the paper's
    largest job a closure per node would cost ~20,000 words a call. *)
@@ -204,6 +209,108 @@ let test_halo_alloc_budget () =
   done;
   let words = (Gc.minor_words () -. before) /. float_of_int calls in
   if words > 128.0 then Alcotest.failf "2048 nodes: %.1f words/halo > 128" words
+
+(* The allreduce before it priced its edges from two wire values per
+   call, kept as its oracle: [Collective.edge_cost] (hops, serialisation
+   and control syscalls) on every tree edge. *)
+module Allreduce_reference = struct
+  let allreduce env ~clocks ~bytes =
+    let n = Array.length clocks in
+    let intra = Shm.intra_allreduce ~ranks:env.Collective.intra_ranks ~bytes in
+    let half = intra / 2 in
+    Array.iteri (fun i c -> clocks.(i) <- c + half) clocks;
+    let k = ref 1 in
+    while !k < n do
+      let i = ref 0 in
+      while !i < n do
+        let j = !i + !k in
+        if j < n then begin
+          let c = Collective.edge_cost env ~src:j ~dst:!i ~bytes in
+          clocks.(!i) <- max clocks.(!i) (clocks.(j) + c)
+        end;
+        i := !i + (2 * !k)
+      done;
+      k := !k * 2
+    done;
+    let k = ref 1 in
+    while !k * 2 < n do
+      k := !k * 2
+    done;
+    while !k >= 1 do
+      let i = ref 0 in
+      while !i < n do
+        let j = !i + !k in
+        if j < n then begin
+          let c = Collective.edge_cost env ~src:!i ~dst:j ~bytes in
+          clocks.(j) <- max clocks.(j) (clocks.(!i) + c)
+        end;
+        i := !i + (2 * !k)
+      done;
+      k := !k / 2
+    done;
+    Array.iteri (fun i c -> clocks.(i) <- c + (intra - half)) clocks
+end
+
+(* Node counts straddle the 24-node edge switches; byte counts straddle
+   the eager threshold, so rendezvous edges price (and, on an LWK,
+   count) their control syscalls; one fabric has degraded links on
+   both sides of a switch boundary.  Each side's syscall pricer counts
+   its calls, and the counts must agree too. *)
+let test_allreduce_matches_reference () =
+  let eager = Mk_fabric.Nic.eager_threshold (Mk_fabric.Nic.make ()) in
+  let rng = Mk_engine.Rng.create 23 in
+  List.iter
+    (fun nodes ->
+      let degraded = Mk_fabric.Fabric.make ~nodes () in
+      List.iteri
+        (fun i node ->
+          Mk_fabric.Fabric.set_link_factor degraded ~node
+            ~factor:(1.3 +. (0.4 *. float_of_int i)))
+        [ 1; 23; 24; 48; 999 ];
+      List.iter
+        (fun (label, fabric) ->
+          List.iter
+            (fun bytes ->
+              let counted () =
+                let calls = ref 0 in
+                ( {
+                    Collective.fabric;
+                    syscall_cost =
+                      (fun _ ->
+                        incr calls;
+                        700);
+                    intra_ranks = 64;
+                  },
+                  calls )
+              in
+              let env, calls = counted () and ref_env, ref_calls = counted () in
+              let what =
+                Printf.sprintf "%d nodes, %s fabric, %d bytes" nodes label bytes
+              in
+              let clocks = Array.init nodes (fun _ -> Mk_engine.Rng.int rng 50_000) in
+              let expected = Array.copy clocks in
+              Collective.allreduce env ~clocks ~bytes;
+              Allreduce_reference.allreduce ref_env ~clocks:expected ~bytes;
+              Alcotest.(check (array int)) what expected clocks;
+              check_int (what ^ ", syscall pricings") !ref_calls !calls)
+            [ 8; eager; eager + 1; 1024 * 1024 ])
+        [ ("healthy", Mk_fabric.Fabric.make ~nodes ()); ("degraded", degraded) ])
+    [ 1; 2; 23; 24; 25; 48; 49; 1000; 2048 ]
+
+(* An allreduce runs at every sync point of every iteration; at the
+   paper's largest job its 4,094 edges must not allocate. *)
+let test_allreduce_alloc_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let env = mk_env ~nodes:2048 () in
+  let clocks = Array.make 2048 0 in
+  let calls = 100 in
+  Collective.allreduce env ~clocks ~bytes:8;
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    Collective.allreduce env ~clocks ~bytes:8
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  if words > 16.0 then Alcotest.failf "2048 nodes: %.1f words/allreduce > 16" words
 
 (* ------------------------------------------------------------------ *)
 (* Event-driven intra-node collective *)
@@ -300,7 +407,13 @@ let () =
              test_allreduce_syscall_cost_charged
         :: Alcotest.test_case "barrier" `Quick test_barrier_is_small_allreduce
         :: Alcotest.test_case "synchronise" `Quick test_synchronise
-        :: qsuite [ allreduce_preserves_order ] );
+        :: qsuite [ allreduce_preserves_order ]
+        @ [
+            Alcotest.test_case "matches per-edge reference" `Quick
+              test_allreduce_matches_reference;
+            Alcotest.test_case "allreduce allocation budget" `Quick
+              test_allreduce_alloc_budget;
+          ] );
       ( "intranode",
         [
           Alcotest.test_case "single rank" `Quick test_intranode_single_rank;

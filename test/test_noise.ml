@@ -209,6 +209,183 @@ let lognormal_sum_matches_reference =
       sum = Detour_reference.detour_sum oracle s k 0
       && Int64.equal (Rng.bits64 rng) (Rng.bits64 oracle))
 
+(* The draw [Injector.max_delay] made before it kept Poisson tables,
+   kept as its oracle: each source's CDF walked from exp (-lambda) with
+   a divide per step, against u ** (1 / ranks) computed per draw. *)
+module Max_delay_reference = struct
+  let poisson_index ~lambda ~ranks u =
+    let target = u ** (1.0 /. float_of_int ranks) in
+    let k = ref 0 in
+    let pmf = ref (exp (-.lambda)) in
+    let cdf = ref !pmf in
+    while !cdf < target && !k <= 10_000 do
+      pmf := !pmf *. lambda /. float_of_int (!k + 1);
+      cdf := !cdf +. !pmf;
+      incr k
+    done;
+    !k
+
+  let max_poisson rng ~lambda ~ranks =
+    if lambda <= 0.0 then 0
+    else begin
+      let u = Rng.float rng 1.0 in
+      let u = if u <= 0.0 then 1e-12 else u in
+      if lambda < 60.0 then poisson_index ~lambda ~ranks u
+      else begin
+        let z = Rng.normal_quantile (u ** (1.0 /. float_of_int ranks)) in
+        Int.max 0 (int_of_float (Float.round (lambda +. (z *. sqrt lambda))))
+      end
+    end
+
+  let detour_sum rng (s : Source.t) k =
+    if s.Source.duration_sigma = 0.0 then k * s.Source.duration
+    else Rng.lognormal_sum rng ~mu:s.Source.mu ~sigma:s.Source.duration_sigma k
+
+  let max_delay (profile : Profile.t) rng ~dur ~ranks =
+    if ranks = 1 then Injector.delay profile rng ~dur
+    else
+      List.fold_left
+        (fun acc (s : Source.t) ->
+          let lambda = float_of_int dur /. float_of_int s.Source.period in
+          acc + detour_sum rng s (max_poisson rng ~lambda ~ranks))
+        0 profile.Profile.sources
+end
+
+let stock_profiles =
+  Profile.
+    [
+      silent;
+      mos_lwk;
+      linux_default;
+      linux_nohz_full;
+      linux_cotenant;
+      linux_service_core;
+    ]
+
+(* Same draws, and the same stream position after each, as the oracle
+   on a copy of the generator: runs of 1-3,000 draws at one window,
+   window changes between runs.  The tables outlive each case, so
+   later cases also start from what earlier ones left. *)
+let max_delay_matches_reference =
+  QCheck.Test.make ~name:"max_delay = per-draw CDF walk" ~count:40
+    QCheck.(
+      quad (int_range 0 5) (int_range 2 256) small_nat
+        (list_of_size (Gen.int_range 1 4)
+           (pair (int_range 0 (400 * Units.ms))
+              (frequency [ (3, int_range 1 40); (1, int_range 1 3_000) ]))))
+    (fun (p, ranks, seed, runs) ->
+      let profile = List.nth stock_profiles p in
+      let rng = Rng.create seed in
+      let oracle = Rng.copy rng in
+      List.for_all
+        (fun (dur, draws) ->
+          let ok = ref true in
+          for _ = 1 to draws do
+            let got = Injector.max_delay profile rng ~dur ~ranks in
+            let want = Max_delay_reference.max_delay profile oracle ~dur ~ranks in
+            ok :=
+              !ok && got = want
+              && Int64.equal (Rng.bits64 (Rng.copy rng)) (Rng.bits64 (Rng.copy oracle))
+          done;
+          !ok)
+        runs)
+
+(* cdf_0 .. cdf_n by the original recurrence. *)
+let cdf_prefix ~lambda n =
+  let a = Array.make (n + 1) 0.0 in
+  let pmf = ref (exp (-.lambda)) in
+  a.(0) <- !pmf;
+  for k = 1 to n do
+    pmf := !pmf *. lambda /. float_of_int k;
+    a.(k) <- a.(k - 1) +. !pmf
+  done;
+  a
+
+(* The u -> k step on a table whose thresholds are ready, called where
+   it can go wrong: at each T_k = cdf_k ** ranks, one ulp either side,
+   and at the band's edges T_k (1 +- delta).  Draws reach the band
+   about once in 10^8, so only a direct call exercises it. *)
+let test_table_band_edges () =
+  let delta = Injector.Table.delta in
+  let lambdas =
+    List.concat_map
+      (fun (p : Profile.t) ->
+        List.concat_map
+          (fun (s : Source.t) ->
+            List.map
+              (fun dur -> float_of_int dur /. float_of_int s.Source.period)
+              [ 2 * Units.ms; 10 * Units.ms; 190 * Units.ms; 360 * Units.ms ])
+          p.Profile.sources)
+      stock_profiles
+    |> List.filter (fun l -> l > 0.0 && l < 60.0)
+    |> List.sort_uniq Float.compare
+  in
+  List.iter
+    (fun lambda ->
+      List.iter
+        (fun ranks ->
+          (* Up to where the CDF is within 1e-12 of 1, and past the
+             highest k the stock profiles reach. *)
+          let cdf = cdf_prefix ~lambda 200 in
+          let top = ref 0 in
+          while !top < 200 && cdf.(!top) < 1.0 -. 1e-12 do
+            incr top
+          done;
+          let tk k = cdf.(k) ** float_of_int ranks in
+          let t = Injector.Table.create () in
+          (* The first draw walks with the pow and computes no
+             threshold; the second, at the largest uniform, walks past
+             every k up to [top] and computes theirs. *)
+          for _ = 1 to 2 do
+            ignore (Injector.Table.index t ~lambda ~ranks (Float.pred 1.0))
+          done;
+          for k = 0 to !top do
+            let x = tk k in
+            List.iter
+              (fun u ->
+                if u >= 1e-12 && u < 1.0 then
+                  check_int
+                    (Printf.sprintf "lambda %g, ranks %d, k %d, u %h" lambda ranks k u)
+                    (Max_delay_reference.poisson_index ~lambda ~ranks u)
+                    (Injector.Table.index t ~lambda ~ranks u))
+              [
+                x;
+                Float.succ x;
+                Float.pred x;
+                x *. (1.0 +. delta);
+                x *. (1.0 -. delta);
+                Float.succ (x *. (1.0 +. delta));
+                Float.pred (x *. (1.0 -. delta));
+              ]
+          done)
+        [ 2; 3; 64; 128; 256 ])
+    lambdas
+
+(* Two domains draw at once through one profile, each at its own
+   windows, and each must draw exactly what the oracle draws alone.
+   A table shared between domains would be re-keyed and refilled under
+   the other domain's walk. *)
+let test_domains_draw_independently () =
+  let profile = Profile.linux_default and ranks = 128 and draws = 40_000 in
+  let window d i =
+    if d = 0 then (20 + (i / 500 mod 2)) * Units.ms else (45 + (i / 700 mod 3)) * Units.ms
+  in
+  let run draw d =
+    let rng = Rng.create (1000 + d) in
+    Array.init draws (fun i -> draw profile rng ~dur:(window d i) ~ranks)
+  in
+  let domains =
+    Array.init 2 (fun d -> Domain.spawn (fun () -> run Injector.max_delay d))
+  in
+  let got = Array.map Domain.join domains in
+  Array.iteri
+    (fun d got ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "domain %d" d)
+        (run Max_delay_reference.max_delay d)
+        got)
+    got
+
 (* ------------------------------------------------------------------ *)
 (* FTQ *)
 
@@ -285,5 +462,13 @@ let () =
             Alcotest.test_case "sync-point max_delay allocation budget" `Quick
               test_max_delay_sync_point_alloc_budget;
           ]
-        @ qsuite [ lognormal_sum_matches_reference ] );
+        @ qsuite [ lognormal_sum_matches_reference; max_delay_matches_reference ]
+        @ [
+            Alcotest.test_case "table band edges" `Quick test_table_band_edges;
+          ] );
+      ( "domains",
+        [
+          Alcotest.test_case "concurrent draws match the oracle" `Quick
+            test_domains_draw_independently;
+        ] );
     ]
