@@ -452,7 +452,7 @@ let bechamel_micro () =
         (let rng = Engine.Rng.create 1 in
          Staged.stage (fun () -> ignore (Engine.Rng.bits64 rng)));
       Test.make ~name:"heap-push-pop"
-        (let h = Engine.Heap.create () in
+        (let h = Engine.Heap.create ~dummy:0 () in
          let i = ref 0 in
          Staged.stage (fun () ->
              incr i;

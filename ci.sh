@@ -34,11 +34,15 @@ dune runtest
 
 # Robustness gates, run explicitly so a failure is attributable even
 # though `dune runtest` covers the same suites: the fault-injection
-# subsystem, the crash-safe atomic-write path, and the pool (its
-# per-map cost is gated by a minor-collection count, not a timing).
+# subsystem, the crash-safe atomic-write path, the pool (its per-map
+# cost is gated by a minor-collection count, not a timing), and the
+# DES core (the fire path's minor words per event, and the heap's
+# promise to retain no popped value).
 dune exec test/test_fault.exe >/dev/null
 dune exec test/test_engine.exe -- test atomic-file >/dev/null
 dune exec test/test_engine.exe -- test pool >/dev/null
+dune exec test/test_engine.exe -- test sim >/dev/null
+dune exec test/test_engine.exe -- test heap >/dev/null
 # The noise draw's Poisson tables are per domain: two domains drawing
 # through one profile at once must each equal the sequential oracle.
 # A table shared between domains goes wrong only when their walks

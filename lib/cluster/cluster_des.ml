@@ -58,8 +58,8 @@ let allreduce_loop ~nodes ~ranks_per_node ~threads_per_rank ~window ~iterations
                     ready.(send) + edge_cost fabric ~src:send ~dst:recv ~bytes
                   in
                   ignore
-                    (Sim.schedule sim ~at:(max (Sim.now sim) arrival) (fun sim ->
-                         ready.(recv) <- max ready.(recv) arrival;
+                    (Sim.schedule sim ~at:(Int.max (Sim.now sim) arrival) (fun sim ->
+                         ready.(recv) <- Int.max ready.(recv) arrival;
                          decr outstanding;
                          if !outstanding = 0 then run_reduce rest sim))
                 end;
@@ -83,8 +83,8 @@ let allreduce_loop ~nodes ~ranks_per_node ~threads_per_rank ~window ~iterations
                     ready.(send) + edge_cost fabric ~src:send ~dst:recv ~bytes
                   in
                   ignore
-                    (Sim.schedule sim ~at:(max (Sim.now sim) arrival) (fun sim ->
-                         ready.(recv) <- max ready.(recv) arrival;
+                    (Sim.schedule sim ~at:(Int.max (Sim.now sim) arrival) (fun sim ->
+                         ready.(recv) <- Int.max ready.(recv) arrival;
                          decr outstanding;
                          if !outstanding = 0 then run_broadcast rest sim))
                 end;
@@ -104,7 +104,7 @@ let allreduce_loop ~nodes ~ranks_per_node ~threads_per_rank ~window ~iterations
           in
           let at = start + window + skew + half1 in
           ignore
-            (Sim.schedule sim ~at:(max (Sim.now sim) at) (fun sim ->
+            (Sim.schedule sim ~at:(Int.max (Sim.now sim) at) (fun sim ->
                  ready.(n) <- at;
                  decr pending;
                  if !pending = 0 then after_arrivals sim)))
@@ -113,7 +113,7 @@ let allreduce_loop ~nodes ~ranks_per_node ~threads_per_rank ~window ~iterations
   in
   iteration 0 (Array.make nodes 0);
   Sim.run sim;
-  { completion = Array.fold_left max 0 exit_time; messages = !messages }
+  { completion = Array.fold_left Int.max 0 exit_time; messages = !messages }
 
 (* ------------------------------------------------------------------ *)
 (* Sharded parallel path.                                             *)
@@ -302,7 +302,7 @@ let sharded_allreduce_loop ?pool ?observer ?(fast_forward = true) ~shards
   if !skipped > 0 then
     Mk_obs.Hook.count ~subsystem:"des" ~name:"fast_forward_iters" !skipped;
   ( {
-      completion = Array.fold_left max 0 exits;
+      completion = Array.fold_left Int.max 0 exits;
       messages = Array.fold_left ( + ) 0 sent;
     },
     {
@@ -336,4 +336,4 @@ let analytic_allreduce_loop ~nodes ~ranks_per_node ~threads_per_rank ~window
       clocks;
     Mk_mpi.Collective.allreduce env ~clocks ~bytes
   done;
-  Array.fold_left max 0 clocks
+  Array.fold_left Int.max 0 clocks

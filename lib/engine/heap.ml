@@ -1,131 +1,129 @@
-(* Cells are either live entries or the [Nil] sentinel.  Vacated
-   slots are always overwritten with [Nil] so the heap never retains
-   a reference to a popped value (and never holds an uninitialized
-   slot that could be scanned as a bogus pointer — the original
-   implementation filled fresh arrays with [Obj.magic 0]). *)
-type 'a cell = Nil | Entry of { key : int; seq : int; value : 'a }
-
+(* Struct of arrays: slot [i] holds its key at [keys.(2 * i)], its
+   insertion sequence number at [keys.(2 * i + 1)] and its value at
+   [values.(i)].  A comparison reads one int array and dereferences
+   nothing, and only a push that grows the arrays allocates.  Every
+   value slot at or past [size] holds the caller's [dummy], so the
+   heap retains no popped value and every slot holds a real value of
+   its type. *)
 type 'a t = {
-  mutable data : 'a cell array;
+  dummy : 'a;
+  mutable keys : int array;
+  mutable values : 'a array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create ?(capacity = 64) () =
-  { data = Array.make (max 1 capacity) Nil; size = 0; next_seq = 0 }
+let create ?(capacity = 64) ~dummy () =
+  let capacity = Int.max 1 capacity in
+  {
+    dummy;
+    keys = Array.make (2 * capacity) 0;
+    values = Array.make capacity dummy;
+    size = 0;
+    next_seq = 0;
+  }
 
 let length t = t.size
 let is_empty t = t.size = 0
 
-(* Ordering: key first, then insertion sequence for determinism.
-   [Nil] never participates: live slots ([i < size]) are always
-   [Entry]. *)
-let before a b =
-  match (a, b) with
-  | Entry a, Entry b -> a.key < b.key || (a.key = b.key && a.seq < b.seq)
-  | (Nil | Entry _), _ -> false
+(* Ordering: key first, then insertion sequence for determinism, a
+   strict total order over the live slots. *)
+let[@inline] before (keys : int array) i j =
+  let ki = keys.(2 * i) and kj = keys.(2 * j) in
+  ki < kj || (ki = kj && keys.((2 * i) + 1) < keys.((2 * j) + 1))
 
 let grow t =
-  let data = Array.make (2 * Array.length t.data) Nil in
-  Array.blit t.data 0 data 0 t.size;
-  t.data <- data
+  let n = Array.length t.values in
+  let keys = Array.make (4 * n) 0 and values = Array.make (2 * n) t.dummy in
+  Array.blit t.keys 0 keys 0 (2 * t.size);
+  Array.blit t.values 0 values 0 t.size;
+  t.keys <- keys;
+  t.values <- values
 
+(* The new entry's sequence number exceeds every live one, so it
+   precedes a parent only on a strictly smaller key.  Parents move
+   down into the hole, and the entry is written once where the hole
+   stops. *)
 let push t ~key value =
-  if t.size = Array.length t.data then grow t;
-  let e = Entry { key; seq = t.next_seq; value } in
-  t.next_seq <- t.next_seq + 1;
+  if t.size = Array.length t.values then grow t;
+  let keys = t.keys and values = t.values in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   let i = ref t.size in
   t.size <- t.size + 1;
-  t.data.(!i) <- e;
-  (* sift up *)
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if before t.data.(!i) t.data.(parent) then begin
-      let tmp = t.data.(parent) in
-      t.data.(parent) <- t.data.(!i);
-      t.data.(!i) <- tmp;
+    let pk = keys.(2 * parent) in
+    if key < pk then begin
+      keys.(2 * !i) <- pk;
+      keys.((2 * !i) + 1) <- keys.((2 * parent) + 1);
+      values.(!i) <- values.(parent);
       i := parent
     end
     else continue := false
-  done
+  done;
+  keys.(2 * !i) <- key;
+  keys.((2 * !i) + 1) <- seq;
+  values.(!i) <- value
 
-let peek t =
-  if t.size = 0 then None
-  else
-    match t.data.(0) with
-    | Entry e -> Some (e.key, e.value)
-    | Nil -> assert false
+let top_key t =
+  if t.size = 0 then invalid_arg "Heap.top_key: empty heap";
+  t.keys.(0)
 
-let min_key t =
-  if t.size = 0 then None
-  else match t.data.(0) with Entry e -> Some e.key | Nil -> assert false
+let top t =
+  if t.size = 0 then invalid_arg "Heap.top: empty heap";
+  t.values.(0)
 
-let sift_down t =
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.size && before t.data.(l) t.data.(!smallest) then smallest := l;
-    if r < t.size && before t.data.(r) t.data.(!smallest) then smallest := r;
-    if !smallest <> !i then begin
-      let tmp = t.data.(!smallest) in
-      t.data.(!smallest) <- t.data.(!i);
-      t.data.(!i) <- tmp;
-      i := !smallest
-    end
-    else continue := false
-  done
+(* Remove the root: the last entry leaves its slot to [dummy] and
+   sifts down from the root's hole, the smaller child moving up at
+   each level. *)
+let take t =
+  if t.size = 0 then invalid_arg "Heap.take: empty heap";
+  let keys = t.keys and values = t.values in
+  let root = values.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  let key = keys.(2 * n) and seq = keys.((2 * n) + 1) and value = values.(n) in
+  values.(n) <- t.dummy;
+  if n > 0 then begin
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let c = if l + 1 < n && before keys (l + 1) l then l + 1 else l in
+        let ck = keys.(2 * c) and cs = keys.((2 * c) + 1) in
+        if ck < key || (ck = key && cs < seq) then begin
+          keys.(2 * !i) <- ck;
+          keys.((2 * !i) + 1) <- cs;
+          values.(!i) <- values.(c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    keys.(2 * !i) <- key;
+    keys.((2 * !i) + 1) <- seq;
+    values.(!i) <- value
+  end;
+  root
 
-(* Remove the root (which the caller has already read), dropping all
-   references from vacated slots. *)
-let remove_root t =
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.data.(0) <- t.data.(t.size);
-    t.data.(t.size) <- Nil;
-    sift_down t
-  end
-  else t.data.(0) <- Nil
+let peek t = if t.size = 0 then None else Some (t.keys.(0), t.values.(0))
 
 let pop t =
   if t.size = 0 then None
   else
-    match t.data.(0) with
-    | Entry e ->
-        remove_root t;
-        Some (e.key, e.value)
-    | Nil -> assert false
-
-let pop_le t ~limit =
-  if t.size = 0 then None
-  else
-    match t.data.(0) with
-    | Entry e when e.key <= limit ->
-        remove_root t;
-        Some (e.key, e.value)
-    | Entry _ -> None
-    | Nil -> assert false
+    let key = t.keys.(0) in
+    Some (key, take t)
 
 let pop_exn t =
   match pop t with
   | Some kv -> kv
   | None -> invalid_arg "Heap.pop_exn: empty heap"
 
-let clear t =
-  Array.fill t.data 0 t.size Nil;
-  t.size <- 0;
-  t.next_seq <- 0
-
 let to_sorted_list t =
-  let copy =
-    {
-      data = Array.sub t.data 0 (max 1 t.size);
-      size = t.size;
-      next_seq = t.next_seq;
-    }
-  in
+  let copy = { t with keys = Array.copy t.keys; values = Array.copy t.values } in
   let rec drain acc =
     match pop copy with None -> List.rev acc | Some kv -> drain (kv :: acc)
   in

@@ -2,41 +2,44 @@
 
     Used as the backbone of the event queue.  Insertions with equal
     keys are dequeued in insertion order (the heap carries a sequence
-    number), which keeps simulations deterministic. *)
+    number), which keeps simulations deterministic.  Keys, sequence
+    numbers and values live in parallel arrays, so {!top_key}, {!top}
+    and {!take} allocate nothing, nor does {!push} unless the arrays
+    must grow. *)
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
+val create : ?capacity:int -> dummy:'a -> unit -> 'a t
+(** [dummy] fills every vacated or unused slot, so the heap retains
+    no reference to a popped value.  It is never returned. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val push : 'a t -> key:int -> 'a -> unit
 
+val top_key : 'a t -> int
+(** Smallest key, without removing its entry.
+    @raise Invalid_argument on an empty heap. *)
+
+val top : 'a t -> 'a
+(** Value of the smallest entry, without removing it.
+    @raise Invalid_argument on an empty heap. *)
+
+val take : 'a t -> 'a
+(** Remove the smallest entry and return its value; read its key
+    first with {!top_key}.  The vacated slot is overwritten, so the
+    heap retains no reference to the value.
+    @raise Invalid_argument on an empty heap. *)
+
 val peek : 'a t -> (int * 'a) option
 (** Smallest (key, value), without removing it. *)
 
-val min_key : 'a t -> int option
-(** Smallest key alone — the lookahead peek: {!Shard}'s coordinator
-    asks every heap for its next timestamp each epoch, and has no use
-    for the value. *)
-
 val pop : 'a t -> (int * 'a) option
-(** Remove and return the smallest (key, value).  The vacated slot is
-    overwritten, so the heap retains no reference to popped values. *)
-
-val pop_le : 'a t -> limit:int -> (int * 'a) option
-(** [pop_le t ~limit] pops the smallest (key, value) only when
-    [key <= limit]; otherwise (or when empty) [None] and the heap is
-    unchanged.  One root access — the caller needs no separate
-    {!peek}. *)
+(** Remove and return the smallest (key, value), as {!take} does. *)
 
 val pop_exn : 'a t -> int * 'a
 (** @raise Invalid_argument on an empty heap. *)
-
-val clear : 'a t -> unit
-(** Empty the heap, overwriting every occupied slot so no value
-    reference is retained. *)
 
 val to_sorted_list : 'a t -> (int * 'a) list
 (** Non-destructive: all elements in ascending key order. *)

@@ -66,13 +66,14 @@ let int t n =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod n
 
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
+
 (* [float], [normal] and [lognormal] are inlined into one another (and
    into the other draws here), so a lognormal draw boxes at most the
    float it finally returns. *)
 let[@inline] float t x =
   (* 53 random bits mapped to [0,1). *)
-  let v = Int64.to_int (Int64.shift_right_logical (next t) 11) in
-  float_of_int v /. 9007199254740992.0 *. x
+  float_of_int (bits53 t) /. 9007199254740992.0 *. x
 
 let bool t = Int64.logand (next t) 1L = 1L
 

@@ -24,6 +24,12 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t n] draws uniformly from [0, n).  Requires [n > 0]. *)
 
+val bits53 : t -> int
+(** The next 53 random bits, as a non-negative int: one step, as
+    {!float} takes it.  [float_of_int (bits53 t) /. 9007199254740992.0]
+    is the uniform [float t 1.0] would return, unboxed even across a
+    module boundary. *)
+
 val float : t -> float -> float
 (** [float t x] draws uniformly from [0, x). *)
 

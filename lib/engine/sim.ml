@@ -13,7 +13,11 @@ and t = {
 
 type event_id = event
 
-let create () = { clock = 0; queue = Heap.create (); live = 0 }
+(* The queue's filler for vacated slots is an event of its own: never
+   scheduled, so never fired or cancelled. *)
+let create () =
+  let sentinel = { state = Fired; handler = ignore } in
+  { clock = 0; queue = Heap.create ~dummy:sentinel (); live = 0 }
 
 let now t = t.clock
 
@@ -47,49 +51,62 @@ let fire t ~at ev =
   t.live <- t.live - 1;
   ev.handler t
 
+(* The loops below read the root's key, then take its event: neither
+   allocates, so firing an event costs only what its handler does. *)
 let rec step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some (at, ev) -> (
-      match ev.state with
-      | Cancelled -> step t
-      | Pending | Fired ->
-          fire t ~at ev;
-          true)
+  let q = t.queue in
+  if Heap.is_empty q then false
+  else begin
+    let at = Heap.top_key q in
+    let ev = Heap.take q in
+    match ev.state with
+    | Cancelled -> step t
+    | Pending | Fired ->
+        fire t ~at ev;
+        true
+  end
 
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some limit ->
+      let q = t.queue in
       let continue = ref true in
       while !continue do
-        match Heap.pop_le t.queue ~limit with
-        | Some (_, { state = Cancelled; _ }) -> ()
-        | Some (at, ev) -> fire t ~at ev
-        | None ->
+        if Heap.is_empty q then continue := false
+        else begin
+          let at = Heap.top_key q in
+          if at <= limit then begin
+            let ev = Heap.take q in
+            match ev.state with
+            | Cancelled -> ()
+            | Pending | Fired -> fire t ~at ev
+          end
+          else begin
             (* A pending event past [limit] drags the clock up to the
                limit; an empty queue leaves it where the last event
                put it. *)
-            if not (Heap.is_empty t.queue) then t.clock <- max t.clock limit;
+            t.clock <- Int.max t.clock limit;
             continue := false
+          end
+        end
       done
 
-let rec drop_cancelled t =
-  match Heap.peek t.queue with
-  | Some (_, { state = Cancelled; _ }) ->
-      ignore (Heap.pop t.queue);
-      drop_cancelled t
-  | _ -> ()
+let rec drop_cancelled q =
+  if not (Heap.is_empty q) then
+    match (Heap.top q).state with
+    | Cancelled ->
+        ignore (Heap.take q);
+        drop_cancelled q
+    | Pending | Fired -> ()
 
 let next_time t =
-  drop_cancelled t;
-  Heap.min_key t.queue
+  drop_cancelled t.queue;
+  if Heap.is_empty t.queue then None else Some (Heap.top_key t.queue)
 
 let advance_to t target =
   if target < t.clock then invalid_arg "Sim.advance_to: target in the past";
-  drop_cancelled t;
-  (match Heap.peek t.queue with
-  | Some (at, _) when at < target ->
-      invalid_arg "Sim.advance_to: pending event precedes target"
-  | _ -> ());
+  drop_cancelled t.queue;
+  if (not (Heap.is_empty t.queue)) && Heap.top_key t.queue < target then
+    invalid_arg "Sim.advance_to: pending event precedes target";
   t.clock <- target

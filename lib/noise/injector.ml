@@ -191,11 +191,13 @@ let table tables i =
 
 (* Sample the maximum of [ranks] iid Poisson(lambda) variables by
    inverse CDF at u^(1/ranks).  Inlined into [max_delay_sum], so
-   [lambda] is not boxed to be passed in. *)
+   [lambda] is not boxed to be passed in.  The uniform is [Rng.float
+   rng 1.0]'s, scaled here from its 53 bits: returned as a float from
+   [Rng], it would be boxed. *)
 let[@inline] max_poisson rng tbl ~lambda ~ranks =
   if lambda <= 0.0 then 0
   else begin
-    let u = Rng.float rng 1.0 in
+    let u = float_of_int (Rng.bits53 rng) /. 9007199254740992.0 in
     let u = if u <= 0.0 then 1e-12 else u in
     if lambda < 60.0 then Table.index tbl ~lambda ~ranks u
     else begin

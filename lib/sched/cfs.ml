@@ -7,7 +7,8 @@ type t = {
 }
 
 let create () =
-  { queue = Heap.create (); vruntimes = Hashtbl.create 16; min_vruntime = 0 }
+  let dummy = Mk_proc.Task.make ~tid:(-1) ~pid:(-1) ~name:"" ~affinity:[] in
+  { queue = Heap.create ~dummy (); vruntimes = Hashtbl.create 16; min_vruntime = 0 }
 
 let name _ = "cfs"
 

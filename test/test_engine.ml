@@ -121,13 +121,13 @@ let test_rng_known_answers () =
 (* Heap *)
 
 let test_heap_ordering () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0 () in
   List.iter (fun k -> Heap.push h ~key:k k) [ 5; 1; 9; 3; 7; 2; 8 ];
   let order = List.map fst (Heap.to_sorted_list h) in
   Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] order
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:"" () in
   Heap.push h ~key:1 "a";
   Heap.push h ~key:1 "b";
   Heap.push h ~key:1 "c";
@@ -135,12 +135,12 @@ let test_heap_fifo_ties () =
   Alcotest.(check (list string)) "insertion order on ties" [ "a"; "b"; "c" ] vals
 
 let test_heap_pop_empty () =
-  let h : int Heap.t = Heap.create () in
+  let h : int Heap.t = Heap.create ~dummy:0 () in
   check_bool "pop empty" true (Heap.pop h = None);
   check_bool "peek empty" true (Heap.peek h = None)
 
 let test_heap_grow () =
-  let h = Heap.create ~capacity:2 () in
+  let h = Heap.create ~capacity:2 ~dummy:0 () in
   for i = 100 downto 1 do
     Heap.push h ~key:i i
   done;
@@ -151,7 +151,7 @@ let heap_qcheck =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
     QCheck.(list small_int)
     (fun keys ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:0 () in
       List.iter (fun k -> Heap.push h ~key:k k) keys;
       let drained = List.map fst (Heap.to_sorted_list h) in
       drained = List.sort compare keys)
@@ -159,23 +159,37 @@ let heap_qcheck =
 (* Model-based: a stable priority queue compared against a stably
    sorted reference list, with pops interleaved between pushes so the
    root-removal and sift paths run from many intermediate shapes (the
-   shapes Sim produces when cancelled events are popped and skipped). *)
+   shapes Sim produces when cancelled events are popped and skipped).
+   Pops alternate between [pop] and Sim's root accessors ([top_key],
+   [top], [take]). *)
 let heap_stable_queue_qcheck =
   QCheck.Test.make ~name:"heap is a stable priority queue under mixed ops"
     ~count:200
     QCheck.(list (pair (int_range 0 15) bool))
     (fun ops ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:(-1) () in
       let model = ref [] in
       let seq = ref 0 in
+      let pops = ref 0 in
       let by_key_then_seq (k1, s1) (k2, s2) =
         if k1 <> k2 then compare k1 k2 else compare s1 s2
       in
       let ok = ref true in
+      let root () =
+        if !pops land 1 = 0 then Heap.pop h
+        else if Heap.is_empty h then None
+        else begin
+          let k = Heap.top_key h and v = Heap.top h in
+          let taken = Heap.take h in
+          if taken <> v then ok := false;
+          Some (k, taken)
+        end
+      in
       List.iter
         (fun (key, do_pop) ->
           if do_pop then (
-            match (Heap.pop h, !model) with
+            incr pops;
+            match (root (), !model) with
             | None, [] -> ()
             | Some (k, v), (mk, ms) :: rest when k = mk && v = ms ->
                 model := rest
@@ -187,6 +201,34 @@ let heap_stable_queue_qcheck =
           end)
         ops;
       !ok && Heap.length h = List.length !model)
+
+(* The promise in heap.mli: a popped value is garbage as soon as the
+   caller drops it.  Values are pushed, then popped through both
+   [pop] and [take]; none may survive a full collection. *)
+let test_heap_no_retention () =
+  let n = 200 in
+  let watch = Weak.create n in
+  let h = Heap.create ~dummy:(ref (-1)) () in
+  let fill () =
+    for i = 0 to n - 1 do
+      let v = ref i in
+      Weak.set watch i (Some v);
+      Heap.push h ~key:((i * 37) mod 11) v
+    done
+  in
+  fill ();
+  for i = 1 to n do
+    if i land 1 = 0 then ignore (Sys.opaque_identity (Heap.pop h))
+    else ignore (Sys.opaque_identity (Heap.take h))
+  done;
+  check_bool "drained" true (Heap.is_empty h);
+  Gc.full_major ();
+  let retained = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check watch i then incr retained
+  done;
+  check_int "popped values still reachable" 0 !retained;
+  check_bool "heap alive" true (Heap.length (Sys.opaque_identity h) = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Sim *)
@@ -301,6 +343,39 @@ let test_sim_advance_to () =
   Alcotest.check_raises "blocked by pending event"
     (Invalid_argument "Sim.advance_to: pending event precedes target") (fun () ->
       Sim.advance_to sim 200)
+
+(* Scheduling and firing an event with a shared handler allocates its
+   event record (3 words) and nothing more: the queue keeps keys and
+   events in parallel arrays, and its root accessors box nothing.  A
+   queue of boxed entries and an optional-pair pop cost 12 words.  The
+   first round grows the queue, so later rounds measure no growth. *)
+let test_sim_fire_alloc_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let n = 10_000 in
+  let fired = ref 0 in
+  let handler (_ : Sim.t) = incr fired in
+  let sim = Sim.create () in
+  let schedule_round () =
+    let base = Sim.now sim in
+    for i = 1 to n do
+      ignore (Sim.schedule sim ~at:(base + 1 + (i * 7919 mod n)) handler)
+    done
+  in
+  schedule_round ();
+  Sim.run sim;
+  let before = Gc.minor_words () in
+  schedule_round ();
+  Sim.run sim;
+  let per_event = (Gc.minor_words () -. before) /. float_of_int n in
+  schedule_round ();
+  let before = Gc.minor_words () in
+  Sim.run ~until:1_000_000 sim;
+  let run_until = Gc.minor_words () -. before in
+  check_int "every event fired" (3 * n) !fired;
+  if per_event > 4.0 then
+    Alcotest.failf "schedule and fire: %.2f words per event > 4" per_event;
+  if run_until > 0.0 then
+    Alcotest.failf "Sim.run ~until: %.0f words for %d events > 0" run_until n
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -1371,7 +1446,11 @@ let () =
         :: Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties
         :: Alcotest.test_case "pop empty" `Quick test_heap_pop_empty
         :: Alcotest.test_case "grow" `Quick test_heap_grow
-        :: qsuite [ heap_qcheck; heap_stable_queue_qcheck ] );
+        :: qsuite [ heap_qcheck; heap_stable_queue_qcheck ]
+        @ [
+            Alcotest.test_case "popped values are not retained" `Quick
+              test_heap_no_retention;
+          ] );
       ( "sim",
         [
           Alcotest.test_case "fires in order" `Quick test_sim_fires_in_order;
@@ -1384,7 +1463,11 @@ let () =
           Alcotest.test_case "past rejected" `Quick test_sim_past_rejected;
           Alcotest.test_case "advance_to" `Quick test_sim_advance_to;
         ]
-        @ qsuite [ sim_random_cancels_qcheck ] );
+        @ qsuite [ sim_random_cancels_qcheck ]
+        @ [
+            Alcotest.test_case "fire path allocation budget" `Quick
+              test_sim_fire_alloc_budget;
+          ] );
       ( "stats",
         Alcotest.test_case "summary basic" `Quick test_summary_basic
         :: Alcotest.test_case "summary merge" `Quick test_summary_merge
