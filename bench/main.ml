@@ -452,7 +452,7 @@ let bechamel_micro () =
         (let rng = Engine.Rng.create 1 in
          Staged.stage (fun () -> ignore (Engine.Rng.bits64 rng)));
       Test.make ~name:"heap-push-pop"
-        (let h = Engine.Heap.create ~dummy:0 () in
+        (let h = Engine.Heap.create () in
          let i = ref 0 in
          Staged.stage (fun () ->
              incr i;
@@ -850,7 +850,11 @@ let flatten_doc j = List.rev (num_leaves "" j [])
    it is the ratio of two single-shot timings of a few milliseconds,
    which swings by 2x between identical runs, and a timing ratio gates
    only against a baseline interleaved in the same run.  The DES
-   protocol counts beside it are pinned by test_cluster instead.
+   protocol counts beside it are pinned by test_cluster instead.  So
+   is the DES core's [events_per_sec]: it times one run of 200,000
+   events, and two runs of one build read 1.00 and 1.57 M events/s.
+   test_engine pins what it stood for, the fire path's minor words per
+   event, at exactly zero.
    Counts, seeds and simulated figures (events, completion times,
    FOMs) are model output, legitimately changed by model PRs, so they
    are never gated either. *)
@@ -879,7 +883,8 @@ let parent_name path =
 
 let diff_direction path =
   let n = leaf_name path in
-  if n = "speedup" && parent_name path = "des" then Report_only
+  if (n = "speedup" && parent_name path = "des") || n = "events_per_sec" then
+    Report_only
   else if
     contains_sub ~sub:"speedup" n
     || contains_sub ~sub:"improvement" n
@@ -1110,8 +1115,8 @@ let diff_selftest () =
   in
   (* Degraded in every dimension; only the gated ones may fire.  The
      DES speedup drops 58 %, as single-shot readings of identical runs
-     do (0.76 -> 0.32); the suite speedup in the same document still
-     gates. *)
+     do (0.76 -> 0.32), and the DES core's throughput 55 %; the suite
+     speedup in the same document still gates. *)
   let bad =
     doc ~des_speedup:0.32 ~eps:0.9e6 ~j2:1.0 ~null:3.0 ~secs:9.0
       ~events:654_321 ~fom:1.0 ()
@@ -1132,8 +1137,7 @@ let diff_selftest () =
   expect "identical documents show zero regressions"
     (regressions base base 25.0 = []);
   expect "seeded regressions fire on exactly the gated metrics"
-    (regressions base bad 25.0
-    = [ "events_per_sec"; "obs.null_overhead_pct"; "suite.speedup_j2" ]);
+    (regressions base bad 25.0 = [ "obs.null_overhead_pct"; "suite.speedup_j2" ]);
   expect "wall-clock and model-output leaves never gate"
     (List.for_all
        (fun p ->
@@ -1141,9 +1145,11 @@ let diff_selftest () =
            (List.mem p
               [ "suite.suite_seconds"; "des.events"; "des.fom" ]))
        (regressions base bad 0.0));
-  expect "a single-shot DES speedup never gates; the suite speedup does"
+  expect "single-shot DES timings never gate; the suite speedup does"
     (let r = regressions base bad 0.0 in
-     (not (List.mem "des.speedup" r)) && List.mem "suite.speedup_j2" r);
+     (not (List.mem "des.speedup" r))
+     && (not (List.mem "events_per_sec" r))
+     && List.mem "suite.speedup_j2" r);
   expect "threshold is honoured"
     (regressions base bad 1000.0 = []);
   (* A percentage metric whose baseline sits below one point is at the
@@ -1309,18 +1315,16 @@ let perf ?tag ~smoke () =
   let target_events = if smoke then 200_000 else 2_000_000 in
   let chains = 64 in
   let fired = ref 0 in
-  let sim = Engine.Sim.create () in
-  let rec handler delay t =
-    incr fired;
-    if !fired + chains <= target_events then begin
-      (* A cancelled decoy per firing keeps the cancellation path on
-         the measured profile alongside push/pop. *)
-      Engine.Sim.cancel t (Engine.Sim.schedule_after t ~delay:(delay + 1) ignore);
-      ignore (Engine.Sim.schedule_after t ~delay (handler delay))
-    end
+  (* A chain's event is its period: each firing schedules the next one
+     that far ahead. *)
+  let sim =
+    Engine.Sim.create (fun t delay ->
+        incr fired;
+        if !fired + chains <= target_events then
+          Engine.Sim.schedule_after t ~delay delay)
   in
   for c = 1 to chains do
-    ignore (Engine.Sim.schedule_after sim ~delay:c (handler c))
+    Engine.Sim.schedule_after sim ~delay:c c
   done;
   let (), sim_s = timed (fun () -> Engine.Sim.run sim) in
   let events_per_sec = float_of_int !fired /. sim_s in

@@ -36,13 +36,19 @@ dune runtest
 # though `dune runtest` covers the same suites: the fault-injection
 # subsystem, the crash-safe atomic-write path, the pool (its per-map
 # cost is gated by a minor-collection count, not a timing), and the
-# DES core (the fire path's minor words per event, and the heap's
-# promise to retain no popped value).
+# DES core: the heap's (key, seq) order (it holds ints only, so no
+# popped value can outlive its pop), the fire path at exactly 0
+# minor words per event, the shard protocol, and test_cluster's
+# driver cases 9, 11 and 12 (`DES smoke counts`, the exact protocol
+# counts of `scale --smoke`'s workload, and the serial and sharded
+# `DES event allocation budget`s, in marginal minor words per event).
 dune exec test/test_fault.exe >/dev/null
 dune exec test/test_engine.exe -- test atomic-file >/dev/null
 dune exec test/test_engine.exe -- test pool >/dev/null
 dune exec test/test_engine.exe -- test sim >/dev/null
 dune exec test/test_engine.exe -- test heap >/dev/null
+dune exec test/test_engine.exe -- test shard >/dev/null
+dune exec test/test_cluster.exe -- test driver 9,11,12 >/dev/null
 # The noise draw's Poisson tables are per domain: two domains drawing
 # through one profile at once must each equal the sequential oracle.
 # A table shared between domains goes wrong only when their walks
@@ -63,16 +69,17 @@ done
 # Any results snapshot on disk must still be valid JSON.
 dune exec bench/main.exe -- check-results
 
-# Hot-path gate: a tiny perf suite (DES events/sec, page-table
-# pages/sec, suite seq vs -j N).  The speedup gates are conditional on
-# the runner's core count (docs/PARALLELISM.md §3): on >= 2 cores -j 2
-# must beat sequential, and on >= 4 cores the work-stealing pool must
-# clear a 1.25x suite speedup at -j 4; on fewer cores the ratios are
-# recorded in the JSON but cannot gate (the pool clamps to zero
-# workers there, so the columns measure scheduling noise, not
-# parallelism).  Unconditionally: the smoke JSON round-trips through
-# the parser, -j output is byte-identical to sequential, and the
-# disabled observability hooks (sink=Null) cost no more than 2%.
+# Hot-path gate: a tiny perf suite (DES events/sec, reported only;
+# page-table pages/sec; suite seq vs -j N).  The speedup gates are
+# conditional on the runner's core count (docs/PARALLELISM.md §3): on
+# >= 2 cores -j 2 must beat sequential, and on >= 4 cores the
+# work-stealing pool must clear a 1.25x suite speedup at -j 4; on
+# fewer cores the ratios are recorded in the JSON but cannot gate
+# (the pool clamps to zero workers there, so the columns measure
+# scheduling noise, not parallelism).  Unconditionally: the smoke JSON
+# round-trips through the parser, -j output is byte-identical to
+# sequential, and the disabled observability hooks (sink=Null) cost no
+# more than 2%.
 dune exec bench/main.exe -- perf --smoke
 
 # Sharded-DES gate (docs/SHARDING.md): the event-driven tier run
@@ -92,8 +99,9 @@ dune exec bench/main.exe -- scale --smoke
 # trajectory this run just extended — gated ratio metrics (speedups,
 # throughputs, overhead percentages) must not cross the threshold in
 # the bad direction; wall-clock leaves and the single-shot DES
-# speedup are report-only.  The first run after a fresh clone has no
-# -prev head and passes with a notice.
+# timings (the sharded speedup and the core's events/sec) are
+# report-only.  The first run after a fresh clone has no -prev head
+# and passes with a notice.
 dune exec bench/main.exe -- diff-selftest >/dev/null
 dune exec bench/main.exe -- diff --against latest --smoke
 

@@ -133,7 +133,6 @@ let triggers =
     "Experiment.compare_scenarios";
     "Experiment.suite";
     "Shard.run";
-    "Shard.schedule";
   ]
 
 let suffix_match ~suffixes name =

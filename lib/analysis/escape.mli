@@ -2,12 +2,12 @@
 
     {b R8 — domain escape.}  Closures handed to [Pool.parallel_map] /
     [parallel_map_on] / [parallel_run_on] / [submit], the
-    [Experiment] fan-out entry points, or [Shard.run] /
-    [Shard.schedule] execute on worker domains.  The pass flags
-    mutable values captured from the enclosing scope — refs, hash
-    tables, buffers, queues, stacks, bytes, records with mutable
-    fields, and arrays the closure writes — unless the value provably
-    stays domain-local: allocated inside the closure, routed through
+    [Experiment] fan-out entry points, or [Shard.run] execute on
+    worker domains.  The pass flags mutable values captured from the
+    enclosing scope — refs, hash tables, buffers, queues, stacks,
+    bytes, records with mutable fields, and arrays the closure
+    writes — unless the value provably stays domain-local:
+    allocated inside the closure, routed through
     [Engine.Scratch], or used under [Mutex.protect] (or a
     [Mutex.lock]-led sequence).  Let-bound task functions are
     resolved one level ([let task = fun … in

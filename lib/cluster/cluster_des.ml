@@ -25,93 +25,75 @@ let allreduce_loop ~nodes ~ranks_per_node ~threads_per_rank ~window ~iterations
   let stragglers = ranks_per_node * threads_per_rank in
   let rngs = Array.init nodes (fun n -> Rng.split (Rng.create (seed * 7919)) (1000 + n)) in
   let half1, half2 = intra_halves ~ranks_per_node ~bytes in
-  let rounds = reduce_rounds nodes in
-  let sim = Sim.create () in
+  let rounds = Array.of_list (reduce_rounds nodes) in
+  let depth = Array.length rounds in
+  (* An iteration runs in phases: 0 is every node's arrival, 1 to
+     [depth] the reduce rounds (k ascending), [depth + 1] to
+     [2 * depth] the broadcast rounds (k descending).  Each phase's
+     events all fire before the next phase is scheduled, so an event
+     is just the node it lands on: [arrival.(n)] is when, and the
+     phase says what it means. *)
+  let phase = ref 0 and outstanding = ref 0 and iter = ref 0 in
   let messages = ref 0 in
-  (* Per-node time at which the current iteration step completed; the
-     DES threads these through events rather than array sweeps. *)
+  let arrival = Array.make nodes 0 in
+  (* ready.(n): when node n finished its local reduce half, then the
+     latest value it has received. *)
+  let ready = Array.make nodes 0 in
+  (* When node n left the last iteration, so may begin the next. *)
   let exit_time = Array.make nodes 0 in
-  (* One iteration: driven recursively; [starts.(i)] is when node i may
-     begin its compute window. *)
-  let rec iteration iter starts =
-    if iter < iterations then begin
-      (* ready.(i): when node i finished local reduce and may take
-         part in internode rounds; filled per round below. *)
-      let ready = Array.make nodes 0 in
-      let pending = ref nodes in
-      let after_arrivals sim =
-        (* All arrival events fired; run the tree with message events. *)
-        let rec run_reduce remaining sim =
-          match remaining with
-          | [] -> run_broadcast (List.rev rounds) sim
-          | k :: rest ->
-              (* All pairs of this round exchange concurrently; the
-                 round completes when the last message lands. *)
-              let outstanding = ref 0 in
-              let i = ref 0 in
-              while !i < nodes do
-                let recv = !i and send = !i + k in
-                if send < nodes then begin
-                  incr outstanding;
-                  incr messages;
-                  let arrival =
-                    ready.(send) + edge_cost fabric ~src:send ~dst:recv ~bytes
-                  in
-                  ignore
-                    (Sim.schedule sim ~at:(Int.max (Sim.now sim) arrival) (fun sim ->
-                         ready.(recv) <- Int.max ready.(recv) arrival;
-                         decr outstanding;
-                         if !outstanding = 0 then run_reduce rest sim))
-                end;
-                i := !i + (2 * k)
-              done;
-              if !outstanding = 0 then run_reduce rest sim
-        and run_broadcast remaining sim =
-          match remaining with
-          | [] ->
-              Array.iteri (fun n t -> exit_time.(n) <- t + half2) ready;
-              iteration (iter + 1) (Array.copy exit_time)
-          | k :: rest ->
-              let outstanding = ref 0 in
-              let i = ref 0 in
-              while !i < nodes do
-                let send = !i and recv = !i + k in
-                if recv < nodes then begin
-                  incr outstanding;
-                  incr messages;
-                  let arrival =
-                    ready.(send) + edge_cost fabric ~src:send ~dst:recv ~bytes
-                  in
-                  ignore
-                    (Sim.schedule sim ~at:(Int.max (Sim.now sim) arrival) (fun sim ->
-                         ready.(recv) <- Int.max ready.(recv) arrival;
-                         decr outstanding;
-                         if !outstanding = 0 then run_broadcast rest sim))
-                end;
-                i := !i + (2 * k)
-              done;
-              if !outstanding = 0 then run_broadcast rest sim
-        in
-        run_reduce rounds sim
+  let deliver sim n at =
+    arrival.(n) <- at;
+    incr outstanding;
+    Sim.schedule sim ~at:(Int.max (Sim.now sim) at) n
+  in
+  (* Arrival events: compute window + straggler delay + local reduce
+     half. *)
+  let arrivals sim =
+    for n = 0 to nodes - 1 do
+      let skew =
+        Mk_noise.Injector.max_delay profile rngs.(n) ~dur:window
+          ~ranks:stragglers
       in
-      (* Arrival events: compute window + straggler delay + local
-         reduce half. *)
-      Array.iteri
-        (fun n start ->
-          let skew =
-            Mk_noise.Injector.max_delay profile rngs.(n) ~dur:window
-              ~ranks:stragglers
-          in
-          let at = start + window + skew + half1 in
-          ignore
-            (Sim.schedule sim ~at:(Int.max (Sim.now sim) at) (fun sim ->
-                 ready.(n) <- at;
-                 decr pending;
-                 if !pending = 0 then after_arrivals sim)))
-        starts
+      deliver sim n (exit_time.(n) + window + skew + half1)
+    done
+  in
+  (* All pairs of a round exchange concurrently; the round completes
+     when the last message lands. *)
+  let round sim k ~up =
+    let i = ref 0 in
+    while !i + k < nodes do
+      let src, dst = if up then (!i + k, !i) else (!i, !i + k) in
+      incr messages;
+      deliver sim dst (ready.(src) + edge_cost fabric ~src ~dst ~bytes);
+      i := !i + (2 * k)
+    done
+  in
+  (* The phase that just drained is over: schedule the next one that
+     has events, closing the iteration after its last broadcast. *)
+  let rec advance sim =
+    if !phase = 2 * depth then begin
+      for n = 0 to nodes - 1 do
+        exit_time.(n) <- ready.(n) + half2
+      done;
+      incr iter;
+      phase := 0;
+      if !iter < iterations then arrivals sim
+    end
+    else begin
+      incr phase;
+      if !phase <= depth then round sim rounds.(!phase - 1) ~up:true
+      else round sim rounds.((2 * depth) - !phase) ~up:false;
+      if !outstanding = 0 then advance sim
     end
   in
-  iteration 0 (Array.make nodes 0);
+  let sim =
+    Sim.create (fun sim n ->
+        let at = arrival.(n) in
+        if !phase = 0 || at > ready.(n) then ready.(n) <- at;
+        decr outstanding;
+        if !outstanding = 0 then advance sim)
+  in
+  arrivals sim;
   Sim.run sim;
   { completion = Array.fold_left Int.max 0 exit_time; messages = !messages }
 
@@ -194,13 +176,20 @@ let sharded_allreduce_loop ?pool ?observer ?(fast_forward = true) ~shards
         post sh n (n - lsb n)
       end
   and emit sh n =
-    List.iter (fun k -> post sh n (n + k)) children.(n);
+    broadcast sh n children.(n);
     exits.(n) <- value.(n) + half2
+  and broadcast sh n = function
+    | [] -> ()
+    | k :: ks ->
+        post sh n (n + k);
+        broadcast sh n ks
   and post sh src dst =
     sent.(Mk_engine.Shard.id sh) <- sent.(Mk_engine.Shard.id sh) + 1;
     let at = value.(src) + edge src dst in
     Mk_engine.Shard.send sh ~shard:shard_of.(dst) ~at dst
   in
+  (* Every event is a node id, its arrival or a message to it alike:
+     both carry their value as their time. *)
   let receive sh dst = arrive sh dst (Mk_engine.Shard.now sh) in
   (* [exits] doubles as next-iteration start times (zero initially). *)
   let init sh =
@@ -216,8 +205,9 @@ let sharded_allreduce_loop ?pool ?observer ?(fast_forward = true) ~shards
           Mk_noise.Injector.max_delay profile rngs.(n) ~dur:window
             ~ranks:stragglers
         in
-        let at = exits.(n) + window + skew + half1 in
-        Mk_engine.Shard.schedule sh ~at (fun sh -> arrive sh n at))
+        Mk_engine.Shard.send sh ~shard:(Mk_engine.Shard.id sh)
+          ~at:(exits.(n) + window + skew + half1)
+          n)
       members.(Mk_engine.Shard.id sh)
   in
   let events = ref 0 and crossings = ref 0 and nulls = ref 0 in

@@ -8,8 +8,7 @@
    [head] always points at a consumed dummy node, so neither side ever
    touches the other's pointer.  Popped nodes have their [value]
    scrubbed to [None] so the queue never retains a reference to a
-   delivered message (the {!Heap} [Nil] discipline, applied to a
-   linked list). *)
+   delivered message. *)
 
 type 'a node = { mutable value : 'a option; next : 'a node option Atomic.t }
 

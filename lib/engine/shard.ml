@@ -31,14 +31,13 @@
    fails loudly on a protocol violation rather than reordering
    events. *)
 
-type 'msg t = {
+type t = {
   id : int;
   shards : int;
   sim : Sim.t;
   lookahead : Units.time;
-  deliver : 'msg t -> 'msg -> unit;
-  inboxes : 'msg packet Mailbox.t array;  (* indexed by source shard *)
-  outboxes : 'msg packet Mailbox.t array;  (* indexed by destination shard *)
+  inboxes : packet Mailbox.t array;  (* indexed by source shard *)
+  outboxes : packet Mailbox.t array;  (* indexed by destination shard *)
   sent_to : bool array;  (* real traffic per destination, this epoch *)
   promise : Units.time array;  (* per-source null-message bound *)
   (* Mail counters, cumulative.  Each has one writer, so none is
@@ -56,9 +55,7 @@ type 'msg t = {
   mutable min_sent : Units.time;  (* earliest real send this epoch *)
 }
 
-and 'msg packet =
-  | Msg of { at : Units.time; payload : 'msg }
-  | Null of { bound : Units.time }
+and packet = Msg of { at : Units.time; payload : int } | Null of { bound : Units.time }
 
 type stats = {
   shards : int;
@@ -85,32 +82,22 @@ type sample = {
   sample_backlog : int;
 }
 
-let id (t : _ t) = t.id
-let shard_count (t : _ t) = t.shards
-let now (t : _ t) = Sim.now t.sim
-let lookahead (t : _ t) = t.lookahead
+let id (t : t) = t.id
+let shard_count (t : t) = t.shards
+let now (t : t) = Sim.now t.sim
+let lookahead (t : t) = t.lookahead
 
 (* Both operands are non-negative; [max_int] means "never". *)
 let sat_add a b = if a >= max_int - b then max_int else a + b
 
-let schedule (t : _ t) ~at handler =
-  ignore
-    (Sim.schedule t.sim ~at (fun _ ->
-         t.events <- t.events + 1;
-         handler t))
-
-let post (t : _ t) ~dst packet =
+let post (t : t) ~dst packet =
   Mailbox.push t.outboxes.(dst) packet;
   t.posted.(dst) <- t.posted.(dst) + 1
 
-let send (t : 'msg t) ~shard ~at (payload : 'msg) =
+let send (t : t) ~shard ~at payload =
   if shard < 0 || shard >= t.shards then
     invalid_arg "Shard.send: destination shard out of range";
-  if shard = t.id then
-    ignore
-      (Sim.schedule t.sim ~at (fun _ ->
-           t.events <- t.events + 1;
-           t.deliver t payload))
+  if shard = t.id then Sim.schedule t.sim ~at payload
   else begin
     if at < sat_add (Sim.now t.sim) t.lookahead then
       invalid_arg "Shard.send: cross-shard message inside the lookahead window";
@@ -122,7 +109,7 @@ let send (t : 'msg t) ~shard ~at (payload : 'msg) =
 
 (* Merge the mail [src] posted before the last barrier: exactly
    [quota.(src) - taken.(src)] packets, FIFO. *)
-let drain (t : _ t) ~src =
+let drain (t : t) ~src =
   let box = t.inboxes.(src) in
   for _ = t.taken.(src) + 1 to t.quota.(src) do
     match Mailbox.pop box with
@@ -130,10 +117,7 @@ let drain (t : _ t) ~src =
     | Some (Msg { at; payload }) ->
         if at < t.promise.(src) then
           invalid_arg "Shard: message arrived before its null promise";
-        ignore
-          (Sim.schedule t.sim ~at (fun _ ->
-               t.events <- t.events + 1;
-               t.deliver t payload))
+        Sim.schedule t.sim ~at payload
     | Some (Null { bound }) ->
         if bound > t.promise.(src) then t.promise.(src) <- bound
   done;
@@ -144,7 +128,7 @@ let drain (t : _ t) ~src =
    everything up to the horizon, then promise every silent peer a
    bound for the next epoch.  Returns (next local timestamp, earliest
    real send), the shard's contribution to the next global bound. *)
-let epoch (t : _ t) ~horizon =
+let epoch (t : t) ~horizon =
   for src = 0 to t.shards - 1 do
     if src <> t.id then drain t ~src
   done;
@@ -169,14 +153,22 @@ let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
   let boxes =
     Array.init shards (fun _ -> Array.init shards (fun _ -> Mailbox.create ()))
   in
+  (* A shard holds its heap, and the heap's handler hands [receive]
+     the shard: the handler reaches it through [shards_of], filled as
+     soon as the shards exist and never changed after. *)
+  let shards_of = ref [||] in
+  let fire i _ payload =
+    let t : t = !shards_of.(i) in
+    t.events <- t.events + 1;
+    receive t payload
+  in
   let ts =
     Array.init shards (fun i ->
         {
           id = i;
           shards;
-          sim = Sim.create ();
+          sim = Sim.create (fire i);
           lookahead;
-          deliver = receive;
           inboxes = Array.init shards (fun src -> boxes.(src).(i));
           outboxes = boxes.(i);
           sent_to = Array.make shards false;
@@ -191,6 +183,7 @@ let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
           min_sent = max_int;
         })
   in
+  shards_of := ts;
   let ids = List.init shards (fun i -> i) in
   let global_bound reports =
     List.fold_left
@@ -279,8 +272,8 @@ let run ?pool ?observer ~shards ~lookahead ~init ~receive () =
   {
     shards;
     epochs = !epochs;
-    events = Array.map (fun (t : _ t) -> t.events) ts;
-    cross_messages = Array.map (fun (t : _ t) -> t.cross_sent) ts;
-    null_messages = Array.map (fun (t : _ t) -> t.nulls_sent) ts;
-    horizon_stalls = Array.map (fun (t : _ t) -> t.stalls) ts;
+    events = Array.map (fun (t : t) -> t.events) ts;
+    cross_messages = Array.map (fun (t : t) -> t.cross_sent) ts;
+    null_messages = Array.map (fun (t : t) -> t.nulls_sent) ts;
+    horizon_stalls = Array.map (fun (t : t) -> t.stalls) ts;
   }

@@ -15,31 +15,29 @@
     protocol, the lookahead derivation for the cluster model, and the
     determinism argument are spelled out in [docs/SHARDING.md]. *)
 
-type 'msg t
+type t
 (** One shard, as seen by model code running inside it: a private
-    clock and event heap plus mailboxes to its peers.  ['msg] is the
-    model's cross-shard message type. *)
+    clock and event heap plus mailboxes to its peers.  A message is an
+    int payload, as a {!Sim} event is. *)
 
-val id : 'msg t -> int
-val shard_count : 'msg t -> int
+val id : t -> int
+val shard_count : t -> int
 
-val now : 'msg t -> Units.time
+val now : t -> Units.time
 (** The shard's private clock; shards drift within an epoch and never
     observably disagree (any event they could exchange is ordered by
     the lookahead). *)
 
-val lookahead : 'msg t -> Units.time
+val lookahead : t -> Units.time
 
-val schedule : 'msg t -> at:Units.time -> ('msg t -> unit) -> unit
-(** Schedule a local event on this shard's heap.
-    @raise Invalid_argument if [at] precedes the shard's clock. *)
-
-val send : 'msg t -> shard:int -> at:Units.time -> 'msg -> unit
-(** Deliver [payload] to [shard] at absolute time [at].  Same-shard
-    sends are ordinary local events.  Cross-shard sends must respect
-    the lookahead contract.
-    @raise Invalid_argument if [shard] is out of range, or if the
-    send is cross-shard with [at < now + lookahead]. *)
+val send : t -> shard:int -> at:Units.time -> int -> unit
+(** Deliver [payload] to [shard] at absolute time [at].  A send to the
+    shard's own id is an ordinary local event on its heap, which is
+    how a model schedules its own work.  Cross-shard sends must
+    respect the lookahead contract.
+    @raise Invalid_argument if [shard] is out of range, if a local
+    send's [at] precedes the shard's clock, or if the send is
+    cross-shard with [at < now + lookahead]. *)
 
 type stats = {
   shards : int;
@@ -74,15 +72,15 @@ val run :
   ?observer:(sample -> unit) ->
   shards:int ->
   lookahead:Units.time ->
-  init:('msg t -> unit) ->
-  receive:('msg t -> 'msg -> unit) ->
+  init:(t -> unit) ->
+  receive:(t -> int -> unit) ->
   unit ->
   stats
 (** Run a sharded simulation to completion.  [init] is called once
-    per shard (in parallel) to populate its heap; [receive] handles
-    each delivered cross- or same-shard {!send} — it fires at the
-    message's timestamp, so [now t] inside it {e is} the [at] of the
-    send.  Epochs repeat until every heap is empty and no message is
+    per shard (in parallel) to populate its heap by sending to its own
+    shard; [receive] handles each delivered cross- or same-shard
+    {!send} — it fires at the message's timestamp, so [now t] inside
+    it {e is} the [at] of the send.  Epochs repeat until every heap is empty and no message is
     in flight.  [observer] fires once per epoch, on the coordinating
     caller after the epoch barrier (never on a worker), with that
     epoch's {!sample}.  Uses the ambient default pool when [pool] is

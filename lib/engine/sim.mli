@@ -1,46 +1,35 @@
 (** Discrete-event simulation core.
 
-    A simulation owns a virtual clock and a priority queue of pending
-    events.  Event handlers receive the simulation and may schedule
-    further events.  Scheduled events can be cancelled; ties on the
-    clock fire in scheduling order, so runs are deterministic. *)
+    A simulation owns a virtual clock, a priority queue of pending
+    events and one handler that fires them.  An event is an int the
+    caller chooses (a node id, a task index, a rank and a message
+    kind packed together), so scheduling and firing one allocates
+    nothing.  Ties on the clock fire in scheduling order, so runs are
+    deterministic. *)
 
 type t
 
-type event_id
-(** Handle for cancelling a scheduled event. *)
-
-val create : unit -> t
+val create : (t -> int -> unit) -> t
+(** [create fire]: [fire t ev] runs each event [ev] at its time, with
+    [now t] set to it; it may schedule further events. *)
 
 val now : t -> Units.time
 (** Current virtual time, ns. *)
 
-val schedule : t -> at:Units.time -> (t -> unit) -> event_id
-(** Schedule a handler to fire at absolute time [at].
+val schedule : t -> at:Units.time -> int -> unit
+(** Schedule event [ev] to fire at absolute time [at].
     @raise Invalid_argument if [at] is in the past. *)
 
-val schedule_after : t -> delay:Units.time -> (t -> unit) -> event_id
+val schedule_after : t -> delay:Units.time -> int -> unit
 (** Schedule relative to [now]. *)
 
-val cancel : t -> event_id -> unit
-(** Cancelling an already-fired or already-cancelled event is a no-op. *)
-
 val pending : t -> int
-(** Number of live (non-cancelled) events in the queue. *)
-
-val step : t -> bool
-(** Fire the next event; [false] if the queue was empty. *)
+(** Number of events in the queue. *)
 
 val run : ?until:Units.time -> t -> unit
 (** Fire events until the queue drains, or until the clock would pass
     [until] (events at exactly [until] still fire). *)
 
 val next_time : t -> Units.time option
-(** Timestamp of the earliest live event, without firing it —
-    {!Shard}'s lookahead peek.  Drops cancelled entries it passes
-    over, so repeated calls stay cheap. *)
-
-val advance_to : t -> Units.time -> unit
-(** Move the clock forward without firing events; only valid when no
-    pending event precedes the target time.
-    @raise Invalid_argument otherwise. *)
+(** Timestamp of the earliest pending event, without firing it —
+    {!Shard}'s lookahead peek. *)

@@ -222,16 +222,19 @@ let run_shared_core t ~tasks ~ops_per_task =
   let remaining = Array.make tasks demand in
   let module Run (S : Mk_sched.Sched_intf.S) = struct
     let go sched =
-      let sim = Sim.create () in
-      Array.iteri
-        (fun i _ ->
-          let task =
-            Mk_proc.Task.make ~tid:(9000 + i) ~pid:(9000 + i)
-              ~name:(Printf.sprintf "ts%d" i) ~affinity:[ 0 ]
-          in
-          S.enqueue sched task)
-        remaining;
-      let rec step sim =
+      let task_of =
+        Array.init tasks (fun i ->
+            let task =
+              Mk_proc.Task.make ~tid:(9000 + i) ~pid:(9000 + i)
+                ~name:(Printf.sprintf "ts%d" i) ~affinity:[ 0 ]
+            in
+            S.enqueue sched task;
+            task)
+      in
+      (* One task runs at a time; the event ending its slice is its
+         index, and [ran.(i)] the slice it was given. *)
+      let ran = Array.make tasks 0 in
+      let dispatch sim =
         match S.pick sched with
         | None -> ()
         | Some task ->
@@ -242,19 +245,21 @@ let run_shared_core t ~tasks ~ops_per_task =
               | Some q -> Int.min q remaining.(i)
             in
             remaining.(i) <- remaining.(i) - slice;
+            ran.(i) <- slice;
             task.Mk_proc.Task.acct.Mk_proc.Task.context_switches <-
               task.Mk_proc.Task.acct.Mk_proc.Task.context_switches + 1;
             Mk_obs.Hook.count ~subsystem:"sched" ~name:"context_switches" 1;
-            ignore
-              (Sim.schedule_after sim ~delay:(slice + S.context_switch_cost)
-                 (fun sim ->
-                   if remaining.(i) > 0 then begin
-                     Mk_obs.Hook.count ~subsystem:"sched" ~name:"preemptions" 1;
-                     S.requeue sched task ~ran:slice
-                   end;
-                   step sim))
+            Sim.schedule_after sim ~delay:(slice + S.context_switch_cost) i
       in
-      step sim;
+      let sim =
+        Sim.create (fun sim i ->
+            if remaining.(i) > 0 then begin
+              Mk_obs.Hook.count ~subsystem:"sched" ~name:"preemptions" 1;
+              S.requeue sched task_of.(i) ~ran:ran.(i)
+            end;
+            dispatch sim)
+      in
+      dispatch sim;
       Sim.run sim;
       Sim.now sim
   end in

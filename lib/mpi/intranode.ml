@@ -28,9 +28,15 @@ let children ~ranks rank =
   in
   gather 0 []
 
+(* An event is the rank it happens to and what happens there, packed
+   into one int. *)
+let arrive = 0 (* the rank reaches the collective *)
+let heard = 1 (* a child's reduce message reaches the rank *)
+let release = 2 (* the parent's broadcast reaches the rank *)
+let event rank kind = (rank * 3) + kind
+
 let allreduce ~ranks ~bytes ~wait ?(skew = fun _ -> 0) () =
   if ranks <= 0 then invalid_arg "Intranode.allreduce: ranks must be positive";
-  let sim = Sim.create () in
   let msg = Shm.message_time ~bytes in
   let wake = match wait with Spin -> 0 | Futex_wake w -> w in
   let messages = ref 0 in
@@ -40,33 +46,34 @@ let allreduce ~ranks ~bytes ~wait ?(skew = fun _ -> 0) () =
   let missing = Array.init ranks (fun r -> List.length (children ~ranks r)) in
   let arrived = Array.make ranks false in
   let finish = Array.make ranks 0 in
-  let rec send_up rank sim =
-    if rank = 0 then broadcast 0 sim
-    else begin
-      incr messages;
-      if wake > 0 then incr wakeups;
-      let p = parent rank in
-      ignore
-        (Sim.schedule_after sim ~delay:(msg + wake) (fun sim ->
-             missing.(p) <- missing.(p) - 1;
-             maybe_up p sim))
-    end
-  and maybe_up rank sim =
-    if arrived.(rank) && missing.(rank) = 0 then send_up rank sim
-  and broadcast rank sim =
+  let send sim rank kind =
+    incr messages;
+    if wake > 0 then incr wakeups;
+    Sim.schedule_after sim ~delay:(msg + wake) (event rank kind)
+  in
+  let broadcast sim rank =
     finish.(rank) <- Sim.now sim;
-    List.iter
-      (fun c ->
-        incr messages;
-        if wake > 0 then incr wakeups;
-        ignore (Sim.schedule_after sim ~delay:(msg + wake) (broadcast c)))
-      (children ~ranks rank)
+    List.iter (fun c -> send sim c release) (children ~ranks rank)
+  in
+  let maybe_up sim rank =
+    if arrived.(rank) && missing.(rank) = 0 then
+      if rank = 0 then broadcast sim 0 else send sim (parent rank) heard
+  in
+  let sim =
+    Sim.create (fun sim ev ->
+        let rank = ev / 3 and kind = ev mod 3 in
+        if kind = arrive then begin
+          arrived.(rank) <- true;
+          maybe_up sim rank
+        end
+        else if kind = heard then begin
+          missing.(rank) <- missing.(rank) - 1;
+          maybe_up sim rank
+        end
+        else broadcast sim rank)
   in
   for rank = 0 to ranks - 1 do
-    ignore
-      (Sim.schedule sim ~at:(skew rank) (fun sim ->
-           arrived.(rank) <- true;
-           maybe_up rank sim))
+    Sim.schedule sim ~at:(skew rank) (event rank arrive)
   done;
   Sim.run sim;
   let completion = Array.fold_left max 0 finish in

@@ -1,14 +1,21 @@
 open Mk_engine
 
+(* The runqueue holds tids, keyed by virtual runtime; [tasks] maps a
+   tid back to its task. *)
 type t = {
-  queue : Mk_proc.Task.t Heap.t;
+  queue : Heap.t;
+  tasks : (int, Mk_proc.Task.t) Hashtbl.t;
   vruntimes : (int, Units.time) Hashtbl.t;
   mutable min_vruntime : Units.time;
 }
 
 let create () =
-  let dummy = Mk_proc.Task.make ~tid:(-1) ~pid:(-1) ~name:"" ~affinity:[] in
-  { queue = Heap.create ~dummy (); vruntimes = Hashtbl.create 16; min_vruntime = 0 }
+  {
+    queue = Heap.create ();
+    tasks = Hashtbl.create 16;
+    vruntimes = Hashtbl.create 16;
+    min_vruntime = 0;
+  }
 
 let name _ = "cfs"
 
@@ -20,19 +27,21 @@ let enqueue t (task : Mk_proc.Task.t) =
      cannot starve the others nor monopolise the CPU. *)
   let vr = max (vruntime t task) t.min_vruntime in
   Hashtbl.replace t.vruntimes task.Mk_proc.Task.tid vr;
-  Heap.push t.queue ~key:vr task
+  Hashtbl.replace t.tasks task.Mk_proc.Task.tid task;
+  Heap.push t.queue ~key:vr task.Mk_proc.Task.tid
 
 let pick t =
   match Heap.pop t.queue with
   | None -> None
-  | Some (vr, task) ->
+  | Some (vr, tid) ->
       t.min_vruntime <- max t.min_vruntime vr;
-      Some task
+      Some (Hashtbl.find t.tasks tid)
 
-let requeue t task ~ran =
+let requeue t (task : Mk_proc.Task.t) ~ran =
   let vr = vruntime t task + ran in
   Hashtbl.replace t.vruntimes task.Mk_proc.Task.tid vr;
-  Heap.push t.queue ~key:vr task
+  Hashtbl.replace t.tasks task.Mk_proc.Task.tid task;
+  Heap.push t.queue ~key:vr task.Mk_proc.Task.tid
 
 let queued t = Heap.length t.queue
 

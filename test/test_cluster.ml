@@ -295,28 +295,54 @@ let check_des_result name (a : Cluster_des.result) (b : Cluster_des.result) =
     b.Cluster_des.completion;
   check_int (name ^ ": messages") a.Cluster_des.messages b.Cluster_des.messages
 
-(* Minor words per event of the serial event-driven allreduce, mOS at
-   1,024 nodes: 14.1.  An event allocates its record (3 words) and its
-   handler's closure; a node's noise draw allocates nothing.  A queue
-   of boxed entries, popped as optional pairs, cost 9 words more per
-   event, and a boxed uniform 0.7 (23.7 in all). *)
+(* Minor words per marginal DES event, mOS at 1,024 nodes, 64 ranks a
+   node: a 20-iteration run less a 10-iteration one, so the set-up
+   both pay cancels out.  [run] returns the events a run fired. *)
+let des_words_per_event run =
+  ignore (run 10);
+  let words iterations =
+    let before = Gc.minor_words () in
+    let events = Sys.opaque_identity (run iterations) in
+    (Gc.minor_words () -. before, events)
+  in
+  let w10, e10 = words 10 in
+  let w20, e20 = words 20 in
+  (w20 -. w10) /. float_of_int (e20 - e10)
+
+(* The serial loop's event is the node it lands on, and its handler is
+   built once per run, so an event allocates nothing; a node's noise
+   draw allocates nothing either.  A closure and a 3-word event record
+   per event cost 11.7 words. *)
 let test_des_serial_alloc_budget () =
   if Sys.backend_type <> Sys.Native then Alcotest.skip ();
-  let nodes = 1024 and iterations = 10 in
-  let fabric = Mk_fabric.Fabric.make ~nodes () in
-  let loop () =
-    Cluster_des.allreduce_loop ~nodes ~ranks_per_node:64 ~threads_per_rank:1
-      ~window:des_window ~iterations ~bytes:8 ~profile:Mk_noise.Profile.mos_lwk
-      ~fabric ~seed:42
+  let nodes = 1024 in
+  let per_event =
+    des_words_per_event (fun iterations ->
+        let r =
+          des_serial ~nodes ~profile:Mk_noise.Profile.mos_lwk ~seed:42
+            ~iterations
+        in
+        (nodes * iterations) + r.Cluster_des.messages)
   in
-  ignore (loop ());
-  let before = Gc.minor_words () in
-  let r = Sys.opaque_identity (loop ()) in
-  let words = Gc.minor_words () -. before in
-  let events = (nodes * iterations) + r.Cluster_des.messages in
-  let per_event = words /. float_of_int events in
-  if per_event > 16.0 then
-    Alcotest.failf "%.2f words per DES event > 16" per_event
+  if per_event > 1.0 then
+    Alcotest.failf "%.2f words per DES event > 1" per_event
+
+(* The sharded loop's events are node ids too, local or from a peer's
+   mailbox; what is left is each iteration's [Shard.run] set-up, each
+   cross-shard packet and each epoch's barrier (1.2 words per shard
+   event).  A closure and an event record per event cost 13.6. *)
+let test_des_sharded_alloc_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let per_event =
+    des_words_per_event (fun iterations ->
+        let _, s =
+          des_sharded ~shards:2 ~nodes:1024 ~profile:Mk_noise.Profile.mos_lwk
+            ~seed:42 ~iterations ()
+        in
+        s.Cluster_des.shard_events)
+  in
+  if per_event > 4.0 then
+    Alcotest.failf "%.2f words per shard event > 4" per_event
 
 let test_des_sharded_identity () =
   (* 100 nodes span 5 fabric regions (24-node edge switches), so 2, 4
@@ -611,6 +637,8 @@ let () =
             test_driver_node_sync_alloc_budget;
           Alcotest.test_case "DES event allocation budget" `Quick
             test_des_serial_alloc_budget;
+          Alcotest.test_case "sharded DES event allocation budget" `Quick
+            test_des_sharded_alloc_budget;
         ] );
       ( "experiment",
         [

@@ -198,6 +198,33 @@ let test_shared_core_lwk_vs_cfs () =
     (lwk >= 200 * Mk_engine.Units.ms && cfs >= 200 * Mk_engine.Units.ms);
   check_bool "lwk cheaper" true (lwk < cfs)
 
+(* Exact makespans of four 50 ms tasks' worth of time sharing, recorded
+   from the closure-per-event engine: CFS preempts at its
+   latency-divided slice, the cooperative LWK queue runs each task to
+   completion, and McKernel's time sharing rotates at 20 ms. *)
+let test_shared_core_pinned () =
+  let ms = Mk_engine.Units.ms in
+  List.iter
+    (fun (name, make, makespans) ->
+      List.iter2
+        (fun tasks expected ->
+          let node = Node.boot ~os:(make ()) ~ranks:1 ~threads_per_rank:1 ~seed:5 in
+          check_int
+            (Printf.sprintf "%s, %d tasks" name tasks)
+            expected
+            (Node.run_shared_core node ~tasks
+               ~ops_per_task:[ Workload.Compute (50 * ms) ]))
+        [ 2; 4; 8 ] makespans)
+    [
+      ("linux (cfs)", (fun () -> Linux_os.create ()),
+       [ 100_319_598; 200_695_196; 401_390_392 ]);
+      ("mos (cooperative)", (fun () -> Mos.create ()),
+       [ 100_001_200; 200_002_400; 400_004_800 ]);
+      ("mckernel (time sharing)",
+       (fun () -> Mckernel.create ~time_sharing:(Some (20 * ms)) ()),
+       [ 100_003_600; 200_007_200; 400_014_400 ]);
+    ]
+
 let test_mos_heap_toggle () =
   let on = Mos.create () in
   let off =
@@ -438,5 +465,9 @@ let () =
         :: Alcotest.test_case "read without open fails" `Quick
              test_file_op_without_open_fails
         :: Alcotest.test_case "shared core" `Quick test_shared_core_lwk_vs_cfs
-        :: qsuite [ node_deterministic; workload_fuzz ] );
+        :: qsuite [ node_deterministic; workload_fuzz ]
+        @ [
+            Alcotest.test_case "shared core pinned makespans" `Quick
+              test_shared_core_pinned;
+          ] );
     ]

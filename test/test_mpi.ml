@@ -371,6 +371,47 @@ let test_intranode_sweep_monotone () =
   in
   check_bool "latency grows with size" true (monotone sweep)
 
+(* Exact outcomes of the event-driven collective, recorded from the
+   closure-per-event engine it used to run on: the int-event engine
+   must fire the same events at the same times.  The straggler skew
+   holds the last rank back 1 ms and staggers the rest by 0-3 us, so
+   arrivals interleave with tree messages. *)
+let test_intranode_pinned () =
+  let straggler ranks r = if r = ranks - 1 then 1_000_000 else r mod 3 * 1_500 in
+  List.iter
+    (fun (ranks, wait, straggles, completion, messages, wakeups) ->
+      let skew = if straggles then straggler ranks else fun _ -> 0 in
+      let r = Intranode.allreduce ~ranks ~bytes:8 ~wait ~skew () in
+      let at what =
+        Printf.sprintf "%s: %d ranks, %s%s" what ranks
+          (match wait with
+          | Intranode.Spin -> "spin"
+          | Intranode.Futex_wake w -> Printf.sprintf "futex %d" w)
+          (if straggles then ", straggler" else "")
+      in
+      check_int (at "completion") completion r.Intranode.completion;
+      check_int (at "messages") messages r.Intranode.messages;
+      check_int (at "wakeups") wakeups r.Intranode.wakeups)
+    (let spin = Intranode.Spin and futex = Intranode.Futex_wake 4_000 in
+     [
+       (1, spin, false, 0, 0, 0);
+       (1, spin, true, 1_000_000, 0, 0);
+       (1, futex, false, 0, 0, 0);
+       (1, futex, true, 1_000_000, 0, 0);
+       (2, spin, false, 1_106, 2, 0);
+       (2, spin, true, 1_001_106, 2, 0);
+       (2, futex, false, 9_106, 2, 2);
+       (2, futex, true, 1_009_106, 2, 2);
+       (17, spin, false, 4_424, 32, 0);
+       (17, spin, true, 1_002_765, 32, 0);
+       (17, futex, false, 36_424, 32, 32);
+       (17, futex, true, 1_022_765, 32, 32);
+       (64, spin, false, 6_636, 126, 0);
+       (64, spin, true, 1_006_636, 126, 0);
+       (64, futex, false, 54_636, 126, 126);
+       (64, futex, true, 1_054_636, 126, 126);
+     ])
+
 let allreduce_preserves_order =
   QCheck.Test.make ~name:"allreduce never rewinds a clock" ~count:50
     QCheck.(list_of_size (Gen.return 16) (int_range 0 1_000_000))
@@ -424,6 +465,7 @@ let () =
           Alcotest.test_case "matches analytic" `Quick
             test_intranode_matches_analytic_shape;
           Alcotest.test_case "sweep monotone" `Quick test_intranode_sweep_monotone;
+          Alcotest.test_case "pinned outcomes" `Quick test_intranode_pinned;
         ] );
       ( "p2p",
         [
