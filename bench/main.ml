@@ -5,7 +5,7 @@
      dune exec bench/main.exe fig4       -- one artifact
      (targets: fig4 fig5a fig5b fig6a fig6b table1 brk ltp opts
                headline micro tools isolation modes csv json
-               sensitivity faults)
+               sensitivity)
 
    The `results` target is the machine-readable pipeline: it runs the
    full suite sequentially and in parallel, checks the two agree byte
@@ -20,8 +20,9 @@
    microbenchmarks (DES events/sec, page-table pages/sec) plus the
    suite timed sequentially and under -j 2/-j 4, written to
    bench/results/latest-perf.json (and perf-<tag>.json).  `perf
-   --smoke` is the small CI gate variant: it fails the build when
-   -j 2 stops beating sequential.
+   --smoke` is the small CI variant: it fails the build only when a
+   -j N suite differs from the sequential one, and reports its timings
+   without gating on them.
 
    Simulated time never reads the wall clock, so result files carry
    no embedded timestamps — the tag (date, commit, …) is the caller's
@@ -854,7 +855,12 @@ let flatten_doc j = List.rev (num_leaves "" j [])
    is the DES core's [events_per_sec]: it times one run of 200,000
    events, and two runs of one build read 1.00 and 1.57 M events/s.
    test_engine pins what it stood for, the fire path's minor words per
-   event, at exactly zero.
+   event, at exactly zero.  So are the suite's [speedup_j*] and the
+   Null sink's [null_overhead_pct]: a 0.3 s smoke suite read 0.78-1.14x
+   under -j 2 and the Null sink -14.5..+12.9 % over identical code on
+   one 2-core host.  test_engine's [executors run at once] and
+   test_obs's [disabled hooks allocate nothing] gate what they stood
+   for.
    Counts, seeds and simulated figures (events, completion times,
    FOMs) are model output, legitimately changed by model PRs, so they
    are never gated either. *)
@@ -883,8 +889,12 @@ let parent_name path =
 
 let diff_direction path =
   let n = leaf_name path in
-  if (n = "speedup" && parent_name path = "des") || n = "events_per_sec" then
-    Report_only
+  if
+    (n = "speedup" && parent_name path = "des")
+    || n = "events_per_sec"
+    || String.starts_with ~prefix:"speedup_j" n
+    || n = "null_overhead_pct"
+  then Report_only
   else if
     contains_sub ~sub:"speedup" n
     || contains_sub ~sub:"improvement" n
@@ -929,10 +939,9 @@ let compare_docs ~threshold a b =
                   (* A percentage metric with a sub-point baseline sits
                      at the measurement's noise floor (e.g. a disabled
                      overhead hovering around 0 +/- 1): its *relative*
-                     delta explodes on harmless jitter.  The absolute
-                     bars (perf --smoke's <= 2% gate) own that regime;
-                     the trend diff only gates once the baseline is at
-                     least one point. *)
+                     delta explodes on harmless jitter: the trend diff
+                     only gates once the baseline is at least one
+                     point. *)
                   Report_only
               | d -> d
             in
@@ -1089,7 +1098,8 @@ let history ?target () =
    regression, independent of whether the real trajectory has one. *)
 let diff_selftest () =
   section "DIFF-SELFTEST — regression detector vs synthetic snapshots";
-  let doc ?(des_speedup = 0.76) ~eps ~j2 ~null ~secs ~events ~fom () =
+  let doc ?(des_speedup = 0.76) ?(improvement = 1.16) ?(mem = 1.5) ~eps ~j2
+      ~null ~secs ~events ~fom () =
     Engine.Json.Obj
       [
         ("schema", Engine.Json.String "multikernel-perf/1");
@@ -1100,7 +1110,15 @@ let diff_selftest () =
               ("speedup_j2", Engine.Json.Float j2);
               ("suite_seconds", Engine.Json.Float secs);
             ] );
-        ("obs", Engine.Json.Obj [ ("null_overhead_pct", Engine.Json.Float null) ]);
+        ( "headline",
+          Engine.Json.Obj
+            [ ("median_improvement", Engine.Json.Float improvement) ] );
+        ( "obs",
+          Engine.Json.Obj
+            [
+              ("null_overhead_pct", Engine.Json.Float null);
+              ("memory_overhead_pct", Engine.Json.Float mem);
+            ] );
         ( "des",
           Engine.Json.Obj
             [
@@ -1115,11 +1133,13 @@ let diff_selftest () =
   in
   (* Degraded in every dimension; only the gated ones may fire.  The
      DES speedup drops 58 %, as single-shot readings of identical runs
-     do (0.76 -> 0.32), and the DES core's throughput 55 %; the suite
-     speedup in the same document still gates. *)
+     do (0.76 -> 0.32), the DES core's throughput 55 %, the suite
+     speedup 33 % and the Null sink's overhead triples: timings, all
+     report-only.  The headline improvement in the same document still
+     gates, as does the memory sink's overhead. *)
   let bad =
-    doc ~des_speedup:0.32 ~eps:0.9e6 ~j2:1.0 ~null:3.0 ~secs:9.0
-      ~events:654_321 ~fom:1.0 ()
+    doc ~des_speedup:0.32 ~improvement:0.8 ~mem:13.0 ~eps:0.9e6 ~j2:1.0
+      ~null:3.0 ~secs:9.0 ~events:654_321 ~fom:1.0 ()
   in
   let expect name cond =
     if cond then Printf.printf "  ok: %s\n" name
@@ -1137,7 +1157,8 @@ let diff_selftest () =
   expect "identical documents show zero regressions"
     (regressions base base 25.0 = []);
   expect "seeded regressions fire on exactly the gated metrics"
-    (regressions base bad 25.0 = [ "obs.null_overhead_pct"; "suite.speedup_j2" ]);
+    (regressions base bad 25.0
+    = [ "headline.median_improvement"; "obs.memory_overhead_pct" ]);
   expect "wall-clock and model-output leaves never gate"
     (List.for_all
        (fun p ->
@@ -1145,22 +1166,25 @@ let diff_selftest () =
            (List.mem p
               [ "suite.suite_seconds"; "des.events"; "des.fom" ]))
        (regressions base bad 0.0));
-  expect "single-shot DES timings never gate; the suite speedup does"
+  expect "retired timing gates stay report-only; the improvement gates"
     (let r = regressions base bad 0.0 in
-     (not (List.mem "des.speedup" r))
-     && (not (List.mem "events_per_sec" r))
-     && List.mem "suite.speedup_j2" r);
+     List.for_all
+       (fun p -> not (List.mem p r))
+       [ "des.speedup"; "events_per_sec"; "suite.speedup_j2";
+         "obs.null_overhead_pct" ]
+     && List.mem "headline.median_improvement" r);
   expect "threshold is honoured"
     (regressions base bad 1000.0 = []);
   (* A percentage metric whose baseline sits below one point is at the
      measurement's noise floor: a -0.1 -> 0.9 wobble is a +1000%
-     relative change but means nothing — it must never gate.  (The
-     absolute bars in perf --smoke own that regime.) *)
+     relative change but means nothing — it must never gate. *)
   let noisy_base =
-    doc ~eps:2.0e6 ~j2:1.5 ~null:(-0.1) ~secs:2.0 ~events:123_456 ~fom:5.0 ()
+    doc ~mem:(-0.1) ~eps:2.0e6 ~j2:1.5 ~null:1.0 ~secs:2.0 ~events:123_456
+      ~fom:5.0 ()
   in
   let noisy_now =
-    doc ~eps:2.0e6 ~j2:1.5 ~null:0.9 ~secs:2.0 ~events:123_456 ~fom:5.0 ()
+    doc ~mem:0.9 ~eps:2.0e6 ~j2:1.5 ~null:1.0 ~secs:2.0 ~events:123_456
+      ~fom:5.0 ()
   in
   expect "sub-point pct baselines never gate (noise floor)"
     (regressions noisy_base noisy_now 25.0 = []);
@@ -1222,46 +1246,6 @@ let results ?tag ?jobs () =
       Printf.printf "wrote %s\n" tagged
 
 (* ------------------------------------------------------------------ *)
-(* FAULTS: degradation tables + isolation demo, through the pipeline  *)
-
-let faults () =
-  section "FAULTS — degradation under escalating fault rates";
-  let pool =
-    Engine.Pool.create ~num_domains:(Domain.recommended_domain_count ()) ()
-  in
-  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
-  let tables =
-    [
-      Cluster.Degradation.run ~pool ~app:(app_exn "hpcg") ~nodes:64
-        ~preset:"mixed" ~runs ();
-      Cluster.Degradation.run ~pool ~app:(app_exn "minife") ~nodes:256
-        ~preset:"mixed" ~runs ();
-    ]
-  in
-  List.iter
-    (fun t ->
-      print_string (Cluster.Degradation.render t);
-      print_newline ())
-    tables;
-  let demo = Cluster.Degradation.isolation_demo ~pool ~runs () in
-  print_string (Cluster.Degradation.render_demo demo);
-  let doc =
-    Engine.Json.to_string_pretty
-      (Engine.Json.Obj
-         [
-           ("schema", Engine.Json.String "multikernel-faults-report/1");
-           ( "tables",
-             Engine.Json.List (List.map Cluster.Degradation.to_json tables) );
-           ("isolation_demo", Cluster.Degradation.demo_to_json demo);
-         ])
-    ^ "\n"
-  in
-  if not (Sys.file_exists results_dir) then Sys.mkdir results_dir 0o755;
-  let path = Filename.concat results_dir "faults.json" in
-  write_file path doc;
-  Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
 (* PERF: hot-path microbenchmarks and the parallel-speedup record     *)
 
 (* Three measurements, written to bench/results/ as
@@ -1281,9 +1265,9 @@ let faults () =
        recorder installed (sink=Null — the ambient hook takes its
        disabled branch), with an in-memory metrics collector
        (sink=Memory) and with a full trace written through
-       Atomic_file (sink=File), so the zero-cost-when-disabled claim
-       of docs/OBSERVABILITY.md is a measured number in the record,
-       not an assertion.
+       Atomic_file (sink=File), so the cost of each sink is a measured
+       number in the record (test_obs asserts the disabled sink's
+       allocation, zero words per hook call).
 
    The record also self-profiles the harness: wall-clock per perf
    phase and the full per-domain scheduler statistics of each -j mode
@@ -1292,18 +1276,19 @@ let faults () =
 
    Modes are interleaved and each keeps its best time, the standard
    defence against timer noise on a shared machine.  The smoke variant
-   is the CI gate: tiny configuration, and a non-zero exit if the
-   suite speedups regress — -j 2 must beat sequential on machines
-   with at least two cores, and -j 4 must clear the 1.25x bar the
-   work-stealing pool is held to on machines with at least four.
-   Each gate is conditional on the cores that could make it passable:
-   on a 1-core container -j N cannot beat sequential by any
-   scheduling (the same instructions run with extra coordination), so
-   there the speedups are recorded but not gated. *)
+   is a tiny configuration for CI.  It exits non-zero when a -j N
+   suite differs from the sequential one by a byte, but on no timing
+   ratio: the speedups and the Null-sink overhead are reported only.
+   Their properties are gated deterministically instead: test_engine's
+   [executors run at once] case fails unless the pool runs all its
+   executors at the same time, and test_obs's [disabled hooks allocate
+   nothing] case pins the Null sink at zero minor words per hook call.
+   A speedup over 0.3 s of work reads host contention: on a 2-core
+   machine -j 2 read 0.78-1.14x of sequential across ten runs. *)
 
 let perf ?tag ~smoke () =
   section
-    (if smoke then "PERF (smoke) — hot-path gate"
+    (if smoke then "PERF (smoke) — hot-path record"
      else "PERF — hot-path microbenchmarks and parallel speedup");
   let tag = match tag with Some t -> t | None -> default_tag () in
   let timed f =
@@ -1377,8 +1362,8 @@ let perf ?tag ~smoke () =
           r)
     end
   in
-  (* Smoke includes the -j 4 gate mode only where four executors can
-     actually run; the full record always measures it. *)
+  (* Smoke measures -j 4 only where four executors can actually run;
+     the full record always measures it. *)
   let modes =
     if smoke && Domain.recommended_domain_count () < 4 then [ 1; 2 ]
     else [ 1; 2; 4 ]
@@ -1404,20 +1389,7 @@ let perf ?tag ~smoke () =
         let rounds = if smoke then 1 else 2 in
         for _ = 1 to rounds do
           measure_round ()
-        done;
-        (* One retry before the smoke gate rules: a single scheduling
-           hiccup on a loaded CI machine must not fail the build. *)
-        let cores = Domain.recommended_domain_count () in
-        let gates_failing () =
-          let seq = snd (Hashtbl.find best 1) in
-          (cores >= 2 && snd (Hashtbl.find best 2) > seq)
-          || (cores >= 4
-             &&
-             match Hashtbl.find_opt best 4 with
-             | Some (_, j4_s) -> seq /. j4_s < 1.25
-             | None -> false)
-        in
-        if smoke && gates_failing () then measure_round ())
+        done)
   in
   let seq_doc, seq_s = Hashtbl.find best 1 in
   (* The determinism contract, enforced here too: every parallel
@@ -1443,7 +1415,7 @@ let perf ?tag ~smoke () =
      each sink measurement repeats it, with a fresh collector (and a
      fresh trace write) per repetition: the per-experiment cost is what
      a user of --trace actually pays, and the sample grows to tens of
-     milliseconds where the 2% gate is meaningful. *)
+     milliseconds. *)
   let obs_reps = if smoke then 64 else 96 in
   let obs_trace_path = Filename.concat results_dir "obs-overhead-trace.json" in
   let obs_events = ref 0 in
@@ -1455,10 +1427,9 @@ let perf ?tag ~smoke () =
   in
   (* [`Baseline] and [`Null] run identical code — the ambient hook's
      disabled branch IS the baseline path, there is no hook-free build
-     to compare against — so their timing difference is the noise
-     floor of this measurement, which is exactly what the ≤ 2% gate on
-     null_overhead_pct asserts: the disabled sink costs nothing that
-     rises above timer noise. *)
+     to compare against — so null_overhead_pct is the noise floor of
+     this measurement, reported only.  test_obs asserts the disabled
+     sink's cost exactly: zero minor words per hook call. *)
   let time_sink sink =
     snd
       (timed (fun () ->
@@ -1510,22 +1481,6 @@ let perf ?tag ~smoke () =
           obs_app.Apps.App.name obs_nodes obs_runs obs_reps;
         let rounds = if smoke then 2 else 3 in
         for _ = 1 to rounds do
-          obs_round ()
-        done;
-        (* Retry policy, slightly stronger than the -j 2 gate's: since
-           [`Baseline] and [`Null] run identical code, best-of-N for
-           both converges on the same true time as N grows — extra
-           rounds only ever tighten the measurement.  On a loaded
-           single-core box the sample-to-sample spread can exceed the
-           2% bar, so allow up to three extra rounds, stopping as soon
-           as the gate is satisfied. *)
-        let retries = ref 0 in
-        let failing () =
-          let _, _, _, _, null_pct, _, _ = obs_stats () in
-          null_pct > 2.0
-        in
-        while smoke && failing () && !retries < 3 do
-          incr retries;
           obs_round ()
         done)
   in
@@ -1661,34 +1616,7 @@ let perf ?tag ~smoke () =
           exit 1);
       Printf.printf "wrote %s\n" path)
     paths;
-  (* Tagged history before the gates: a run that fails its own bar
-     still lands in the trajectory, which is exactly when the record
-     is most interesting. *)
-  record_history ~target:(if smoke then "perf-smoke" else "perf") ~tag doc;
-  if smoke && Domain.recommended_domain_count () >= 2 && j2_s > seq_s then begin
-    Printf.eprintf
-      "perf --smoke: -j 2 (%.2fs) slower than sequential (%.2fs) — the\n\
-       parallel engine is regressing; see docs/PERFORMANCE.md\n"
-      j2_s seq_s;
-    exit 1
-  end;
-  let cores = Domain.recommended_domain_count () in
-  (match (smoke && cores >= 4, Hashtbl.find_opt best 4) with
-  | true, Some (_, j4_s) when seq_s /. j4_s < 1.25 ->
-      Printf.eprintf
-        "perf --smoke: -j 4 speedup %.2fx below the 1.25x bar (sequential\n\
-         %.2fs, -j 4 %.2fs) — work stealing is regressing; see\n\
-         docs/PARALLELISM.md\n"
-        (seq_s /. j4_s) seq_s j4_s;
-      exit 1
-  | _ -> ());
-  if smoke && null_pct > 2.0 then begin
-    Printf.eprintf
-      "perf --smoke: Null-sink overhead %.2f%% exceeds 2%% — the disabled\n\
-       observability hooks are no longer free; see docs/OBSERVABILITY.md\n"
-      null_pct;
-    exit 1
-  end
+  record_history ~target:(if smoke then "perf-smoke" else "perf") ~tag doc
 
 (* ------------------------------------------------------------------ *)
 (* SCALE: the weak-scaling record past the paper's 2,048 nodes        *)
@@ -1934,7 +1862,7 @@ let check_results () =
         exit 1
   in
   if not (Sys.file_exists results_dir) then
-    Printf.printf "%s absent (run the results/faults target first)\n"
+    Printf.printf "%s absent (run the results target first)\n"
       results_dir
   else
     let files =
@@ -1963,7 +1891,7 @@ let targets =
     ("fig6b", fig6b); ("table1", table1); ("brk", brk); ("ltp", ltp);
     ("opts", opts); ("headline", headline); ("micro", micro);
     ("tools", tools); ("isolation", isolation); ("modes", modes); ("csv", csv);
-    ("json", json); ("sensitivity", sensitivity); ("faults", faults);
+    ("json", json); ("sensitivity", sensitivity);
   ]
 
 let () =

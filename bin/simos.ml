@@ -393,86 +393,6 @@ let calibration_cmd =
   Cmd.v (Cmd.info "calibration" ~doc) Term.(const action $ const ())
 
 (* ------------------------------------------------------------------ *)
-(* simos faults                                                        *)
-
-let plan_arg =
-  let doc =
-    "Fault-plan preset for a degradation table (node-crash, core-degrade, \
-     link-degrade, link-flap, nic-stall, daemon-hang, proxy-crash, \
-     thread-loss, mixed).  Without $(docv) the isolation demo runs instead."
-  in
-  Arg.(value & opt (some string) None & info [ "plan"; "p" ] ~docv:"PRESET" ~doc)
-
-let fault_app_arg =
-  let doc = "Application model for the degradation table." in
-  Arg.(value & opt string "hpcg" & info [ "app"; "a" ] ~docv:"APP" ~doc)
-
-let fault_nodes_arg =
-  let doc = "Node count for the degradation table." in
-  Arg.(value & opt int 64 & info [ "nodes"; "n" ] ~docv:"N" ~doc)
-
-let rates_arg =
-  let doc = "Comma-separated fault rates (expected events per node per run)." in
-  Arg.(value & opt string "0.5,1,2" & info [ "rates" ] ~docv:"RATES" ~doc)
-
-let fault_format_arg =
-  let doc = "Output format: table or json." in
-  Arg.(
-    value
-    & opt (enum [ ("table", `Table); ("json", `Json) ]) `Table
-    & info [ "format"; "f" ] ~docv:"FORMAT" ~doc)
-
-let faults_cmd =
-  let action plan app nodes rates runs seed format jobs trace_path metrics =
-    let* runs = Cluster.Validate.runs runs in
-    let* jobs = Cluster.Validate.jobs jobs in
-    set_jobs jobs;
-    let obs = make_obs ~trace_path ~metrics in
-    let flush () =
-      flush_obs ~trace_path ~print_tables:(metrics && format = `Table) obs
-    in
-    match plan with
-    | None ->
-        let demo = Cluster.Degradation.isolation_demo ?obs ~runs ~seed () in
-        (match format with
-        | `Table -> print_string (Cluster.Degradation.render_demo demo)
-        | `Json ->
-            print_endline
-              (Engine.Json.to_string_pretty
-                 (Cluster.Degradation.demo_to_json demo)));
-        flush ();
-        `Ok ()
-    | Some preset ->
-        let* preset = Cluster.Validate.fault_preset preset in
-        let* app = Cluster.Validate.app app in
-        let* nodes = Cluster.Validate.nodes nodes in
-        let* rates = Cluster.Validate.rates rates in
-        let table =
-          Cluster.Degradation.run ?obs ~app ~nodes ~preset ~rates ~runs ~seed ()
-        in
-        (match format with
-        | `Table -> print_string (Cluster.Degradation.render table)
-        | `Json ->
-            print_endline
-              (Engine.Json.to_string_pretty (Cluster.Degradation.to_json table)));
-        flush ();
-        `Ok ()
-  in
-  let doc =
-    "Inject deterministic faults.  Without --plan, run the isolation demo: a \
-     Linux daemon hang must hurt Linux but not the LWKs, and a McKernel \
-     proxy crash must hurt syscall-heavy LAMMPS but not pure-compute MiniFE. \
-     With --plan, print a degradation table for one application under \
-     escalating fault rates across all three kernels."
-  in
-  Cmd.v (Cmd.info "faults" ~doc)
-    Term.(
-      ret
-        (const action $ plan_arg $ fault_app_arg $ fault_nodes_arg $ rates_arg
-       $ runs_arg $ seed_arg $ fault_format_arg $ jobs_arg $ trace_path_arg
-       $ metrics_arg))
-
-(* ------------------------------------------------------------------ *)
 (* simos trace                                                         *)
 
 let trace_nodes_arg =
@@ -505,7 +425,7 @@ let trace_cmd =
     "Trace one application under all three kernels at one node count and \
      write a Chrome trace-event JSON loadable in Perfetto (ui.perfetto.dev): \
      one process per (run, node), spans for setup / iterations / collective \
-     phases on the simulated clock, instants for injected faults.  The file \
+     phases on the simulated clock.  The file \
      is byte-identical for every --jobs value."
   in
   Cmd.v (Cmd.info "trace" ~doc)
@@ -620,6 +540,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            run_cmd; sweep_cmd; suite_cmd; faults_cmd; trace_cmd; ltp_cmd;
+            run_cmd; sweep_cmd; suite_cmd; trace_cmd; ltp_cmd;
             node_cmd; apps_cmd; calibration_cmd; profile_cmd;
           ]))

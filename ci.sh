@@ -33,18 +33,20 @@ rm -f "$sarif_tmp"
 dune runtest
 
 # Robustness gates, run explicitly so a failure is attributable even
-# though `dune runtest` covers the same suites: the fault-injection
-# subsystem, the crash-safe atomic-write path, the pool (its per-map
-# cost is gated by a minor-collection count, not a timing), and the
+# though `dune runtest` covers the same suites: the crash-safe
+# atomic-write path, the pool (its per-map cost is gated by a
+# minor-collection count, not a timing, and `executors run at once`
+# fails unless every executor runs a task at the same time), the
+# disabled observability hooks (zero minor words per call), and the
 # DES core: the heap's (key, seq) order (it holds ints only, so no
 # popped value can outlive its pop), the fire path at exactly 0
 # minor words per event, the shard protocol, and test_cluster's
 # driver cases 9, 11 and 12 (`DES smoke counts`, the exact protocol
 # counts of `scale --smoke`'s workload, and the serial and sharded
 # `DES event allocation budget`s, in marginal minor words per event).
-dune exec test/test_fault.exe >/dev/null
 dune exec test/test_engine.exe -- test atomic-file >/dev/null
 dune exec test/test_engine.exe -- test pool >/dev/null
+dune exec test/test_obs.exe -- test hook >/dev/null
 dune exec test/test_engine.exe -- test sim >/dev/null
 dune exec test/test_engine.exe -- test heap >/dev/null
 dune exec test/test_engine.exe -- test shard >/dev/null
@@ -69,17 +71,14 @@ done
 # Any results snapshot on disk must still be valid JSON.
 dune exec bench/main.exe -- check-results
 
-# Hot-path gate: a tiny perf suite (DES events/sec, reported only;
-# page-table pages/sec; suite seq vs -j N).  The speedup gates are
-# conditional on the runner's core count (docs/PARALLELISM.md §3): on
-# >= 2 cores -j 2 must beat sequential, and on >= 4 cores the
-# work-stealing pool must clear a 1.25x suite speedup at -j 4; on
-# fewer cores the ratios are recorded in the JSON but cannot gate
-# (the pool clamps to zero workers there, so the columns measure
-# scheduling noise, not parallelism).  Unconditionally: the smoke JSON
-# round-trips through the parser, -j output is byte-identical to
-# sequential, and the disabled observability hooks (sink=Null) cost no
-# more than 2%.
+# Hot-path record: a tiny perf suite (DES events/sec, page-table
+# pages/sec, suite seq vs -j N, observability sink overheads), all
+# reported, none gated: a timing ratio of this size reads host
+# contention, not the code.  It fails only if the smoke JSON does not
+# round-trip through the parser or a -j N suite is not byte-identical
+# to sequential.  The properties the timings stood for are gated above
+# (the pool's `executors run at once`, test_obs's `disabled hooks
+# allocate nothing`).
 dune exec bench/main.exe -- perf --smoke
 
 # Sharded-DES gate (docs/SHARDING.md): the event-driven tier run
@@ -96,11 +95,12 @@ dune exec bench/main.exe -- scale --smoke
 # Perf-history gate (docs/OBSERVABILITY.md §2): first prove the
 # regression detector itself fires on a seeded synthetic regression
 # and stays quiet on identical documents, then diff the smoke
-# trajectory this run just extended — gated ratio metrics (speedups,
-# throughputs, overhead percentages) must not cross the threshold in
-# the bad direction; wall-clock leaves and the single-shot DES
-# timings (the sharded speedup and the core's events/sec) are
-# report-only.  The first run after a fresh clone has no -prev head
+# trajectory this run just extended — gated ratio metrics (headline
+# improvements, page-table throughput, the memory and file sink
+# overhead percentages) must not cross the threshold in the bad
+# direction; wall-clock leaves, the suite's -j N speedups, the Null
+# sink's overhead and the single-shot DES timings (the sharded speedup
+# and the core's events/sec) are report-only.  The first run after a fresh clone has no -prev head
 # and passes with a notice.
 dune exec bench/main.exe -- diff-selftest >/dev/null
 dune exec bench/main.exe -- diff --against latest --smoke

@@ -12,9 +12,6 @@ type result = {
   faults : int;
   offloads_per_iteration : int;
   failures : int;
-  fault_events : int;
-  dead_nodes : int;
-  recoveries : int;
 }
 
 let max_array a = Array.fold_left Int.max min_int a
@@ -174,89 +171,17 @@ let halo_control_cost os ~ranks_per_node ~msgs_per_node ~controls =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Containment semantics (docs/FAULTS.md)                              *)
-
-(* Hung Linux daemons on an LWK node slow the offload *service* —
-   the Linux cores that execute proxied/migrated control syscalls are
-   busy — but never the LWK compute cores. *)
-let daemon_service_factor = 4.0
-
-(* On Linux itself the daemons have nowhere to hide: they spill onto
-   the application cores and inflate every compute window. *)
-let daemon_spill_factor = 1.35
-
-(* Fault-aware version of [halo_control_cost] for one node.  The
-   healthy arithmetic is preserved exactly when the node carries no
-   active fault; each fault adds to the side of the serial/queue race
-   it physically lives on. *)
-let halo_control_cost_faulty os st ~node ~ranks_per_node ~msgs_per_node
-    ~controls =
-  if controls = [] || msgs_per_node = 0 then 0
-  else begin
-    let nic_x = Mk_fault.State.nic_extra st node in
-    let per_msg =
-      List.fold_left (fun acc s -> acc + syscall_cost os s) 0 controls + nic_x
-    in
-    let per_rank_msgs = (msgs_per_node + ranks_per_node - 1) / ranks_per_node in
-    let serial = per_rank_msgs * per_msg in
-    match os.Mk_kernel.Os.offload with
-    | None -> serial
-    | Some off ->
-        let mech = Mk_ikc.Offload.mechanism off in
-        let proxy_stalled =
-          match mech with
-          | Mk_ikc.Offload.Proxy _ -> Mk_fault.State.proxy_down st node
-          | Mk_ikc.Offload.Migration _ -> false
-        in
-        let target_lost =
-          match mech with
-          | Mk_ikc.Offload.Migration _ -> Mk_fault.State.thread_lost st node
-          | Mk_ikc.Offload.Proxy _ -> false
-        in
-        let service =
-          let s =
-            List.fold_left (fun acc s -> acc + Mk_syscall.Cost.local s) 0 controls
-          in
-          if Mk_fault.State.daemon_hung st node then
-            int_of_float (Float.round (float_of_int s *. daemon_service_factor))
-          else s
-        in
-        let per_offload_extra =
-          (if proxy_stalled then
-             (* Each offloaded request this iteration stalls for one
-                IKC timeout before the retry lands on the respawned
-                proxy. *)
-             os.Mk_kernel.Os.resilience.Mk_fault.Retry.timeout
-           else 0)
-          + (if target_lost then Mk_ikc.Offload.failover_cost mech else 0)
-          + nic_x
-        in
-        let linux_cores =
-          max 1
-            (List.length os.Mk_kernel.Os.os_cores - if target_lost then 1 else 0)
-        in
-        let queue = msgs_per_node * (service + per_offload_extra) / linux_cores in
-        Mk_obs.Hook.gauge ~subsystem:"ikc" ~name:"proxy_queue_ns" queue;
-        max serial queue
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Main run                                                            *)
 
 let with_obs obs f = match obs with None -> () | Some r -> f r
 
-let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
+let run_body ?eager_threshold ~obs ~(scenario : Scenario.t)
     ~(app : Mk_apps.App.t) ~nodes ~seed () =
   if nodes <= 0 then invalid_arg "Driver.run: nodes must be positive";
   (* Attribution cursor: Tier-1 pricing (memory, heap traces, IKC,
      scheduling) executes on the representative node and is charged
      to node 0. *)
   with_obs obs (fun r -> Mk_obs.Recorder.set_node r 0);
-  let fstate =
-    match faults with
-    | None -> None
-    | Some plan -> Some (Mk_fault.State.make ~plan ~nodes)
-  in
   let os = scenario.Scenario.make () in
   let ranks_per_node = app.Mk_apps.App.ranks_per_node in
   let node =
@@ -331,65 +256,6 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
        model); the tree edges see only wire time. *)
     { env with Mk_mpi.Collective.syscall_cost = (fun _ -> 0) }
   in
-  (* Fault plumbing.  Everything below is gated on [fstate]: with no
-     plan the healthy code path runs the exact pre-fault arithmetic. *)
-  let mpi_policy = Mk_fault.Retry.default_mpi in
-  let renvs =
-    match fstate with
-    | None -> None
-    | Some st ->
-        let extra_edge ~src ~dst =
-          (* A flapping link drops sends; each failed attempt costs a
-             timeout plus backoff under the MPI retry policy. *)
-          let f =
-            Mk_fault.State.flap_failures st src
-            + Mk_fault.State.flap_failures st dst
-          in
-          if f = 0 then 0 else Mk_fault.Retry.retry_time mpi_policy ~failures:f
-        in
-        let alive = Mk_fault.State.alive_array st in
-        Some
-          ( Mk_mpi.Resilient.make ~base:env ~alive ~extra_edge,
-            Mk_mpi.Resilient.make ~base:halo_env ~alive ~extra_edge )
-  in
-  let mechanism = Option.map Mk_ikc.Offload.mechanism os.Mk_kernel.Os.offload in
-  let has_proxy =
-    match mechanism with Some (Mk_ikc.Offload.Proxy _) -> true | _ -> false
-  in
-  let node_alive =
-    match fstate with
-    | None -> fun _ -> true
-    | Some st -> fun n -> Mk_fault.State.is_alive st n
-  in
-  let node_factor =
-    match fstate with
-    | None -> fun _ -> 1.0
-    | Some st ->
-        fun n ->
-          let f = Mk_fault.State.compute_factor st n in
-          if
-            os.Mk_kernel.Os.kind = Mk_kernel.Os.Linux
-            && Mk_fault.State.daemon_hung st n
-          then f *. daemon_spill_factor
-          else f
-  in
-  (* Per-node cost scaling; the [f = 1.0] fast path keeps the healthy
-     arithmetic purely integral. *)
-  let scaled n t =
-    let f = node_factor n in
-    if f = 1.0 then t else int_of_float (Float.round (float_of_int t *. f))
-  in
-  let max_alive a =
-    match fstate with
-    | None -> max_array a
-    | Some st ->
-        let m = ref min_int in
-        Array.iteri
-          (fun i c -> if Mk_fault.State.is_alive st i then m := Int.max !m c)
-          a;
-        if !m = min_int then max_array a else !m
-  in
-  let recoveries = ref 0 in
   let offloads_per_iteration =
     if Mk_kernel.Os.is_lwk os then
       List.fold_left
@@ -416,64 +282,11 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
   in
   let prev_sync = ref (Units.us) in
   for iter = 0 to sim_iters - 1 do
-    let start = max_alive clocks in
+    let start = max_array clocks in
     with_obs obs (fun r -> Mk_obs.Recorder.set_node r 0);
     (match iter_snap with
     | Some a -> Array.blit clocks 0 a 0 nodes
     | None -> ());
-    (* Unfold the fault plan for this iteration. *)
-    (match fstate with
-    | None -> ()
-    | Some st ->
-        Mk_fault.State.begin_iteration st ~iteration:iter;
-        for n = 0 to nodes - 1 do
-          let f = Mk_fault.State.link_factor st n in
-          if f > 1.0 then Mk_fabric.Fabric.set_link_factor fabric ~node:n ~factor:f
-        done;
-        (* Fresh crashes: every survivor times out on the dead peer
-           (retry until give-up under the MPI policy) before the
-           collective tree is rebuilt without it. *)
-        (match Mk_fault.State.take_newly_crashed st with
-        | [] -> ()
-        | crashed ->
-            recoveries := !recoveries + List.length crashed;
-            with_obs obs (fun r ->
-                List.iter
-                  (fun n ->
-                    Mk_obs.Recorder.instant r ~ts:start ~node:n ~tid:0
-                      ~cat:"fault" ~name:"node-crash" ())
-                  crashed);
-            if nodes > 1 then begin
-              let detect =
-                List.length crashed * Mk_fault.Retry.give_up_time mpi_policy
-              in
-              Array.iteri
-                (fun n c ->
-                  if Mk_fault.State.is_alive st n then clocks.(n) <- c + detect)
-                clocks
-            end);
-        (* Proxy crash (McKernel only): the node's offloaded requests
-           time out, back off and give up, then the proxy is
-           respawned.  A node with no offload traffic this iteration
-           never notices — the crash costs nothing (MiniFE at 256
-           nodes: halos below the eager threshold, zero control
-           syscalls). *)
-        if has_proxy && offloads_per_iteration > 0 then
-          Array.iteri
-            (fun n c ->
-              if Mk_fault.State.is_alive st n && Mk_fault.State.proxy_down st n
-              then begin
-                recoveries := !recoveries + 1;
-                with_obs obs (fun r ->
-                    Mk_obs.Recorder.instant r ~ts:c ~node:n ~tid:0 ~cat:"fault"
-                      ~name:"proxy-respawn" ());
-                clocks.(n) <-
-                  c
-                  + Mk_fault.Retry.give_up_time os.Mk_kernel.Os.resilience
-                  + Mk_ikc.Offload.respawn_cost
-                      (Option.get mechanism)
-              end)
-            clocks);
     (* Placement and page-size mix can change between iterations
        (cold shared-memory faults, heap growth), so compute costs are
        re-priced each round. *)
@@ -488,9 +301,7 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
         let c = Mk_mem.Address_space.touch_all asp ~concurrency:ranks_per_node in
         if c > !worst then worst := c
       done;
-      Array.iteri
-        (fun n c -> if node_alive n then clocks.(n) <- c + scaled n !worst)
-        clocks
+      Array.iteri (fun n c -> clocks.(n) <- c + !worst) clocks
     end;
     (* Heap churn replay (Lulesh): every node pays the same cost, but
        the cost differs radically between kernels and iterations. *)
@@ -500,9 +311,7 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
       | Some trace -> replay_trace (trace ~nodes ~iteration:iter)
     in
     let fixed = trace_cost + yield_cost in
-    Array.iteri
-      (fun n c -> if node_alive n then clocks.(n) <- c + scaled n fixed)
-      clocks;
+    Array.iteri (fun n c -> clocks.(n) <- c + fixed) clocks;
     (* Compute windows interleaved with synchronisation points. *)
     let sync_cost_acc = ref 0 in
     let apply_sync sync =
@@ -513,58 +322,37 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
          closure capturing [n] for every node at every sync point, with
          or without a recorder. *)
       for n = 0 to nodes - 1 do
-        if node_alive n then begin
-          (match obs with Some r -> Mk_obs.Recorder.set_node r n | None -> ());
-          let w = scaled n window in
-          let skew =
-            Mk_noise.Injector.max_delay profile node_rngs.(n)
-              ~dur:(w + !prev_sync) ~ranks:stragglers
-          in
-          if skew > !max_skew then begin
-            max_skew := skew;
-            straggler := n
-          end;
-          clocks.(n) <- clocks.(n) + w + skew
-        end
+        (match obs with Some r -> Mk_obs.Recorder.set_node r n | None -> ());
+        let skew =
+          Mk_noise.Injector.max_delay profile node_rngs.(n)
+            ~dur:(window + !prev_sync) ~ranks:stragglers
+        in
+        if skew > !max_skew then begin
+          max_skew := skew;
+          straggler := n
+        end;
+        clocks.(n) <- clocks.(n) + window + skew
       done;
       with_obs obs (fun r ->
           Mk_obs.Recorder.set_node r 0;
           if !max_skew > 0 then
             Mk_obs.Recorder.count_node r ~node:!straggler ~subsystem:"mpi"
               ~name:"straggler" 1);
-      let before = max_alive clocks in
-      (match (renvs, fstate) with
-      | None, _ | _, None -> (
-          match sync with
-          | `Allreduce bytes -> Mk_mpi.Collective.allreduce env ~clocks ~bytes
-          | `Halo (bytes, neighbors, msgs_per_node) ->
-              Mk_mpi.P2p.halo halo_env ~clocks ~bytes ~neighbors;
-              (* On one node there are no internode messages, hence no
-                 NIC control traffic. *)
-              if nodes > 1 then begin
-                let control =
-                  halo_control_cost os ~ranks_per_node ~msgs_per_node
-                    ~controls:(Mk_fabric.Nic.control_syscalls nic ~bytes)
-                in
-                Array.iteri (fun n c -> clocks.(n) <- c + control) clocks
-              end)
-      | Some (renv, renv_halo), Some st -> (
-          match sync with
-          | `Allreduce bytes -> Mk_mpi.Resilient.allreduce renv ~clocks ~bytes
-          | `Halo (bytes, neighbors, msgs_per_node) ->
-              Mk_mpi.Resilient.halo renv_halo ~clocks ~bytes ~neighbors;
-              if nodes > 1 then begin
-                let controls = Mk_fabric.Nic.control_syscalls nic ~bytes in
-                Array.iteri
-                  (fun n c ->
-                    if Mk_fault.State.is_alive st n then
-                      clocks.(n) <-
-                        c
-                        + halo_control_cost_faulty os st ~node:n ~ranks_per_node
-                            ~msgs_per_node ~controls)
-                  clocks
-              end));
-      let sync_cost = max_alive clocks - before in
+      let before = max_array clocks in
+      (match sync with
+      | `Allreduce bytes -> Mk_mpi.Collective.allreduce env ~clocks ~bytes
+      | `Halo (bytes, neighbors, msgs_per_node) ->
+          Mk_mpi.P2p.halo halo_env ~clocks ~bytes ~neighbors;
+          (* On one node there are no internode messages, hence no
+             NIC control traffic. *)
+          if nodes > 1 then begin
+            let control =
+              halo_control_cost os ~ranks_per_node ~msgs_per_node
+                ~controls:(Mk_fabric.Nic.control_syscalls nic ~bytes)
+            in
+            Array.iteri (fun n c -> clocks.(n) <- c + control) clocks
+          end);
+      let sync_cost = max_array clocks - before in
       with_obs obs (fun r ->
           (* Constant names: a sync span allocates no name. *)
           let name, metric =
@@ -581,24 +369,19 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
     if syncs = [] then begin
       (* No synchronisation: pure per-node progress. *)
       for n = 0 to nodes - 1 do
-        if node_alive n then begin
-          (match obs with Some r -> Mk_obs.Recorder.set_node r n | None -> ());
-          let w = scaled n window in
-          let skew =
-            Mk_noise.Injector.max_delay profile node_rngs.(n) ~dur:w
-              ~ranks:stragglers
-          in
-          clocks.(n) <- clocks.(n) + w + skew
-        end
+        (match obs with Some r -> Mk_obs.Recorder.set_node r n | None -> ());
+        let skew =
+          Mk_noise.Injector.max_delay profile node_rngs.(n) ~dur:window
+            ~ranks:stragglers
+        in
+        clocks.(n) <- clocks.(n) + window + skew
       done;
       with_obs obs (fun r -> Mk_obs.Recorder.set_node r 0)
     end;
     (* Remainder of the compute that integer division dropped. *)
     let remainder = compute - (window * nsync) in
     if remainder > 0 then
-      Array.iteri
-        (fun n c -> if node_alive n then clocks.(n) <- c + scaled n remainder)
-        clocks;
+      Array.iteri (fun n c -> clocks.(n) <- c + remainder) clocks;
     prev_sync := !sync_cost_acc / nsync;
     (match (iter_snap, obs) with
     | Some a, Some r ->
@@ -610,7 +393,7 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
               ~name ()
         done
     | _ -> ());
-    iter_durations.(iter) <- max_alive clocks - start
+    iter_durations.(iter) <- max_array clocks - start
   done;
 
   (* --- Extrapolation ------------------------------------------------ *)
@@ -648,25 +431,17 @@ let run_body ?eager_threshold ?faults ~obs ~(scenario : Scenario.t)
     faults = !faults;
     offloads_per_iteration;
     failures = Mk_kernel.Node.failures node;
-    fault_events =
-      (match fstate with
-      | None -> 0
-      | Some st -> Mk_fault.State.events_applied st);
-    dead_nodes =
-      (match fstate with None -> 0 | Some st -> Mk_fault.State.dead_count st);
-    recoveries = !recoveries;
   }
 
-let run ?eager_threshold ?faults ?obs ~scenario ~app ~nodes ~seed () =
+let run ?eager_threshold ?obs ~scenario ~app ~nodes ~seed () =
   match obs with
-  | None ->
-      run_body ?eager_threshold ?faults ~obs:None ~scenario ~app ~nodes ~seed ()
+  | None -> run_body ?eager_threshold ~obs:None ~scenario ~app ~nodes ~seed ()
   | Some r ->
       (* Install the recorder in the domain-local hook slot so the
-         Tier-1 layers (mem, ikc, noise, fault, mpi, sched) reach it
-         without threading it through their APIs. *)
+         Tier-1 layers (mem, ikc, noise, mpi, sched) reach it without
+         threading it through their APIs. *)
       Mk_obs.Hook.with_recorder r (fun () ->
-          run_body ?eager_threshold ?faults ~obs ~scenario ~app ~nodes ~seed ())
+          run_body ?eager_threshold ~obs ~scenario ~app ~nodes ~seed ())
 
 let pp_result ppf r =
   Format.fprintf ppf

@@ -38,15 +38,10 @@ type result = {
   faults : int;  (** demand faults on the representative node *)
   offloads_per_iteration : int;
   failures : int;
-  fault_events : int;  (** injected fault events applied (0 when off) *)
-  dead_nodes : int;  (** nodes lost to injected crashes *)
-  recoveries : int;
-      (** recovery episodes priced: crash detections + proxy respawns *)
 }
 
 val run :
   ?eager_threshold:int ->
-  ?faults:Mk_fault.Plan.t ->
   ?obs:Mk_obs.Recorder.t ->
   scenario:Scenario.t ->
   app:Mk_apps.App.t ->
@@ -57,19 +52,10 @@ val run :
 (** [eager_threshold] overrides the NIC's eager/rendezvous switch —
     the knob for the LAMMPS-sensitivity ablation.
 
-    [faults] injects a deterministic fault plan
-    ({!Mk_fault.Plan}); containment semantics per kernel are spelled
-    out in docs/FAULTS.md.  Omitting it — or passing
-    {!Mk_fault.Plan.empty} — runs the exact healthy arithmetic: the
-    fault layer is zero-cost when off.  Dead nodes' clocks freeze;
-    collectives route around them ({!Mk_mpi.Resilient}); survivors
-    pay detection, retry and respawn costs under the kernel's
-    {!Mk_fault.Retry.policy}.
-
     [obs] installs a {!Mk_obs.Recorder} for the run's duration: every
     instrumented layer counts into it (via {!Mk_obs.Hook}) and, when
     the recorder traces, the driver emits setup/iteration/sync spans
-    and fault instants on the simulated clock, once each.
+    on the simulated clock, once each.
     Omitting it installs nothing and emits no spans: the layers keep
     whatever recorder {!Mk_obs.Hook} already holds, by default the
     zero-cost Null sink. *)

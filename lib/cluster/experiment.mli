@@ -31,7 +31,6 @@ val default_runs : int
 
 val point :
   ?pool:Mk_engine.Pool.t ->
-  ?faults:Mk_fault.Plan.t ->
   ?obs:Mk_obs.Collect.t ->
   scenario:Scenario.t ->
   app:Mk_apps.App.t ->
@@ -41,9 +40,7 @@ val point :
   unit ->
   point
 (** One cell: [runs] repetitions (seeds [seed], [seed + 100], …)
-    fanned out across the pool, reduced to median/min/max.  [faults]
-    applies the same fault plan to every repetition, so the medians
-    compare a fixed fault timeline across kernels and seeds.
+    fanned out across the pool, reduced to median/min/max.
 
     [obs] collects metrics (and, if it was created with [~trace:true],
     trace events) from every repetition.  Each run records into its
@@ -55,7 +52,6 @@ type cell = {
   scenario : Scenario.t;
   app : Mk_apps.App.t;
   nodes : int;
-  faults : Mk_fault.Plan.t option;
   runs : int;
   seed : int;
 }
@@ -73,10 +69,9 @@ val points :
     repetition-minor), so the work-stealing pool balances individual
     runs across cells of wildly different cost.  Returns one point
     per cell, in cell order.  {!point}, {!sweep},
-    {!compare_scenarios}, {!suite} and {!Degradation} all reduce to a
-    single call of this; use it directly for custom cell batches
-    (mixed apps, per-cell fault plans) that should share one flat
-    schedule.  [progress] fires after each completed repetition, on
+    {!compare_scenarios} and {!suite} all reduce to a single call of
+    this; use it directly for custom cell batches (mixed apps, node
+    counts or seeds) that should share one flat schedule.  [progress] fires after each completed repetition, on
     whichever domain ran it — it must be thread-safe, and it must not
     influence results (interactive heartbeats only; see
     [simos suite]).  Raises [Invalid_argument] if any cell has

@@ -57,28 +57,3 @@ let scenario name =
       Error
         (Printf.sprintf "unknown scenario %S: valid choices are %s" name
            (String.concat ", " scenario_names))
-
-let fault_preset name =
-  let n = String.lowercase_ascii (String.trim name) in
-  if List.mem n Mk_fault.Plan.preset_names then Ok n
-  else
-    Error
-      (Printf.sprintf "unknown fault preset %S: valid choices are %s" name
-         (String.concat ", " Mk_fault.Plan.preset_names))
-
-let rates s =
-  let parts =
-    String.split_on_char ',' s |> List.map String.trim
-    |> List.filter (fun p -> p <> "")
-  in
-  if parts = [] then Error "empty rate list: give e.g. 0.5,1,2"
-  else
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: rest -> (
-          match float_of_string_opt p with
-          | Some r when r >= 0.0 -> go (r :: acc) rest
-          | Some _ -> Error (Printf.sprintf "invalid rate %S: must be >= 0" p)
-          | None -> Error (Printf.sprintf "invalid rate %S: not a number" p))
-    in
-    go [] parts

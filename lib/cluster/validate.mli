@@ -33,9 +33,3 @@ val app : string -> (Mk_apps.App.t, string) result
 val scenario : string -> (Scenario.t, string) result
 (** Lookup through {!Scenario.find}; the error lists the valid
     scenario labels. *)
-
-val fault_preset : string -> (string, string) result
-(** Validates against {!Mk_fault.Plan.preset_names}. *)
-
-val rates : string -> (float list, string) result
-(** Comma-separated non-negative fault rates, e.g. ["0.5,1,2"]. *)

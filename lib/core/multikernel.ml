@@ -12,7 +12,6 @@ module Mpi = Mk_mpi
 module Apps = Mk_apps
 module Cluster = Mk_cluster
 module Compat = Mk_compat
-module Fault = Mk_fault
 module Analysis = Mk_analysis
 module Obs = Mk_obs
 

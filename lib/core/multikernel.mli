@@ -34,7 +34,6 @@
     - {!Apps}: the eight application models.
     - {!Cluster}: the 2,048-node experiment driver.
     - {!Compat}: the LTP-like compatibility corpus.
-    - {!Fault}: deterministic fault injection (docs/FAULTS.md).
     - {!Analysis}: determinism helpers shared with the mklint static
       checker (docs/STATIC_ANALYSIS.md), e.g. sorted hash-table views.
     - {!Obs}: deterministic metrics and tracing with Perfetto export
@@ -54,7 +53,6 @@ module Mpi = Mk_mpi
 module Apps = Mk_apps
 module Cluster = Mk_cluster
 module Compat = Mk_compat
-module Fault = Mk_fault
 module Analysis = Mk_analysis
 module Obs = Mk_obs
 

@@ -24,7 +24,6 @@ let make mechanism ~router =
   { mechanism; router; stats = { offloads = 0; transport_time = 0; execution_time = 0 } }
 
 let stats t = t.stats
-let mechanism t = t.mechanism
 
 let transport t ~lwk_core ~payload =
   match t.mechanism with
@@ -45,20 +44,6 @@ let transport t ~lwk_core ~payload =
       handoff + handoff + cache_penalty
 
 let overhead t ~lwk_core ?(payload = 128) () = transport t ~lwk_core ~payload
-
-(* Recovery pricing, used by the fault layer.  A dead proxy needs a
-   fork + address-space attach before any offload can complete again;
-   mOS has no proxy, so recovery is just re-arming the migration
-   target.  Losing the preferred Linux core costs every subsequent
-   offload a detour: a longer hand-off chain on mOS, a rerouted IKC
-   channel on McKernel. *)
-let respawn_cost = function
-  | Proxy _ -> 5_000_000
-  | Migration { handoff; _ } -> handoff
-
-let failover_cost = function
-  | Proxy _ -> 300
-  | Migration { handoff; cache_penalty } -> handoff + cache_penalty
 
 let cost t ~lwk_core ~sysno ?(payload = 128) () =
   let tr = transport t ~lwk_core ~payload in

@@ -37,7 +37,6 @@ type t
 
 val make : mechanism -> router:Router.t -> t
 val stats : t -> stats
-val mechanism : t -> mechanism
 
 val cost :
   t ->
@@ -52,15 +51,3 @@ val cost :
 val overhead :
   t -> lwk_core:Mk_hw.Topology.core -> ?payload:int -> unit -> Mk_engine.Units.time
 (** Transport-only part: what the offload adds over a native call. *)
-
-val respawn_cost : mechanism -> Mk_engine.Units.time
-(** One-time cost of restoring the offload service after its
-    Linux-side context dies: fork + attach of a fresh proxy process
-    for {!Proxy} (milliseconds); one scheduler hand-off to re-arm the
-    migration target for {!Migration}. *)
-
-val failover_cost : mechanism -> Mk_engine.Units.time
-(** Per-offload surcharge once the preferred Linux target core is
-    lost and requests detour to the next NUMA-matched core: a
-    rerouted IKC channel for {!Proxy}, an extra hand-off plus colder
-    caches for {!Migration}. *)

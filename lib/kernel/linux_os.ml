@@ -32,5 +32,4 @@ let create ?(mode = Mk_hw.Knl.Snc4_flat) ?(os_cores = 4) ?(nohz_full = true)
     syscall_entry = Mk_syscall.Cost.entry;
     local_service_factor = 1.0;
     fault_costs = Mk_mem.Fault.default;
-    resilience = Mk_fault.Retry.default_ikc;
   }

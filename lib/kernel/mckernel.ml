@@ -41,5 +41,4 @@ let create ?(mode = Mk_hw.Knl.Snc4_flat) ?(os_cores = 4)
     syscall_entry = 120;
     local_service_factor = 0.7;
     fault_costs = { Mk_mem.Fault.default with Mk_mem.Fault.trap = 500 };
-    resilience = Mk_fault.Retry.default_ikc;
   }

@@ -48,7 +48,4 @@ let create ?(mode = Mk_hw.Knl.Snc4_flat) ?(os_cores = 4)
     syscall_entry = 130;
     local_service_factor = 0.75;
     fault_costs = { Mk_mem.Fault.default with Mk_mem.Fault.trap = 500 };
-    (* mOS migrates the caller thread itself, so a wedged target core
-       is noticed faster than a wedged proxy process. *)
-    resilience = { Mk_fault.Retry.default_ikc with Mk_fault.Retry.timeout = 15_000 };
   }

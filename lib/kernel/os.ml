@@ -31,7 +31,6 @@ type t = {
   syscall_entry : Mk_engine.Units.time;
   local_service_factor : float;
   fault_costs : Mk_mem.Fault.costs;
-  resilience : Mk_fault.Retry.policy;
 }
 
 let kind_to_string = function

@@ -49,9 +49,6 @@ type t = {
           calls: an LWK's lean paths beat Linux's general ones *)
   fault_costs : Mk_mem.Fault.costs;
       (** page-fault cost parameters; an LWK's fault path is leaner *)
-  resilience : Mk_fault.Retry.policy;
-      (** timeout/retry policy guarding the kernel's offload and
-          control paths when faults are injected (docs/FAULTS.md) *)
 }
 
 val kind_to_string : kind -> string

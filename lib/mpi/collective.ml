@@ -30,16 +30,11 @@ let regions fabric n =
 
 (* One tree edge's price, from the two wire prices of the call: [near]
    within an edge switch (1 hop), [far] through a spine (3 hops), the
-   split {!Mk_fabric.Topology.hops} makes.  A degraded fabric scales
-   each edge by its link factors as [wire_time] does.  Control
-   syscalls are priced per edge, as before: on an LWK each one is an
-   offload the transport counts. *)
-let[@inline] edge_price env ~(region : int array) ~near ~far ~degraded ~controls
-    ~src ~dst =
+   split {!Mk_fabric.Topology.hops} makes.  Control syscalls are
+   priced per edge, as before: on an LWK each one is an offload the
+   transport counts. *)
+let[@inline] edge_price env ~(region : int array) ~near ~far ~controls ~src ~dst =
   let wire = if region.(src) = region.(dst) then near else far in
-  let wire =
-    if degraded then Mk_fabric.Fabric.scale_link env.fabric ~src ~dst wire else wire
-  in
   match controls with [] -> wire | _ -> add_control_costs env wire controls
 
 let allreduce env ~clocks ~bytes =
@@ -51,7 +46,6 @@ let allreduce env ~clocks ~bytes =
   let region = regions env.fabric n in
   let near = Mk_fabric.Fabric.hop_time ~hops:1 ~bytes
   and far = Mk_fabric.Fabric.hop_time ~hops:3 ~bytes in
-  let degraded = Mk_fabric.Fabric.degraded env.fabric in
   let controls =
     Mk_fabric.Nic.control_syscalls (Mk_fabric.Fabric.nic env.fabric) ~bytes
   in
@@ -66,7 +60,7 @@ let allreduce env ~clocks ~bytes =
     while !i < n do
       let j = !i + !k in
       if j < n then begin
-        let c = edge_price env ~region ~near ~far ~degraded ~controls ~src:j ~dst:!i in
+        let c = edge_price env ~region ~near ~far ~controls ~src:j ~dst:!i in
         clocks.(!i) <- Int.max clocks.(!i) (clocks.(j) + c)
       end;
       i := !i + (2 * !k)
@@ -83,7 +77,7 @@ let allreduce env ~clocks ~bytes =
     while !i < n do
       let j = !i + !k in
       if j < n then begin
-        let c = edge_price env ~region ~near ~far ~degraded ~controls ~src:!i ~dst:j in
+        let c = edge_price env ~region ~near ~far ~controls ~src:!i ~dst:j in
         clocks.(j) <- Int.max clocks.(j) (clocks.(!i) + c)
       end;
       i := !i + (2 * !k)

@@ -40,13 +40,10 @@ let halo env ~clocks ~bytes ~neighbors =
     let before = Mk_engine.Scratch.int_array ~tag:"p2p.halo.before" ~len:n ~init:0 in
     Array.blit clocks 0 before 0 n;
     (* Every message of the call costs one of two wire prices: [near]
-       within an edge switch, [far] through a spine.  Only a degraded
-       fabric scales them per edge. *)
-    let fabric = env.Collective.fabric in
-    let region = Collective.regions fabric n in
+       within an edge switch, [far] through a spine. *)
+    let region = Collective.regions env.Collective.fabric n in
     let near = Mk_fabric.Fabric.hop_time ~hops:1 ~bytes
     and far = Mk_fabric.Fabric.hop_time ~hops:3 ~bytes in
-    let degraded = Mk_fabric.Fabric.degraded fabric in
     for i = 0 to n - 1 do
       (* Node [i] proceeds when the last of its own send and its
          neighbours' messages is done.  The offsets are already in
@@ -57,11 +54,7 @@ let halo env ~clocks ~bytes ~neighbors =
         let j = i + offsets.(o) in
         let j = if j >= n then j - n else j in
         let wire =
-          if j = i then 0
-          else begin
-            let w = if region.(i) = region.(j) then near else far in
-            if degraded then Mk_fabric.Fabric.scale_link fabric ~src:j ~dst:i w else w
-          end
+          if j = i then 0 else if region.(i) = region.(j) then near else far
         in
         arrival := Int.max !arrival (before.(j) + send_cost + wire)
       done;

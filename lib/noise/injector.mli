@@ -8,12 +8,27 @@
     independent threads — the quantity that gates a synchronising
     collective.  It samples each source's occurrence count from the
     max-order-statistic of [ranks] iid Poissons (inverse-CDF on
-    u^(1/ranks)) and sums across sources, a slight over-estimate of
-    the true max-of-sums that preserves monotonicity in [ranks].
-    This is the noise-amplification mechanism: with fine-grained
-    collectives the per-level max grows with scale, which is why the
-    Linux MiniFE curve collapses at 1,024+ nodes while the silent
-    LWKs keep scaling (Figure 5b). *)
+    u^(1/ranks)), draws that many fresh detours, and sums across
+    sources.  That preserves monotonicity in [ranks], but it is not
+    the max over ranks of the per-rank sums, and its error goes both
+    ways: it finds the unluckiest rank by strike count but not by
+    detour length, while summing per-source maxima biases upward.
+    Mean of [max_delay] over the mean of a brute-force oracle (the
+    max of [ranks] independent {!delay} draws), 4,000 trials a point:
+
+    {v
+    profile             2 ms x 64   10 ms x 128   100 ms x 256   360 ms x 256
+    linux-nohz-full       1.10         1.20           0.99           1.02
+    linux-default         1.19         0.91           0.52           0.62
+    linux-service-core    1.05         0.72           0.45           0.50
+    mos-lwk               1.21         0.95           0.76           0.60
+    v}
+
+    test_noise's [max_delay bias sign] case pins the sign at two of
+    these points.  This is the noise-amplification mechanism: with
+    fine-grained collectives the per-level max grows with scale,
+    which is why the Linux MiniFE curve collapses at 1,024+ nodes
+    while the silent LWKs keep scaling (Figure 5b). *)
 
 val delay : Profile.t -> Mk_engine.Rng.t -> dur:Mk_engine.Units.time -> Mk_engine.Units.time
 (** Total noise suffered by one thread over a compute window of

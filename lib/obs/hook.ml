@@ -1,4 +1,4 @@
-(* The ambient hook slot.  Layer code (mem, ikc, noise, fault, sched)
+(* The ambient hook slot.  Layer code (mem, ikc, noise, mpi, sched)
    cannot thread a recorder through every call without distorting the
    very APIs the paper models, so the active recorder — if any — is
    held in domain-local storage.  DLS, not a global ref (mklint R4):

@@ -10,8 +10,11 @@
 
     When no recorder is installed (the Null sink — the initial state)
     every helper is a DLS read and a [match]: zero allocation, which
-    is what "zero-cost when disabled" means here; [bench perf]
-    measures it rather than asserting it. *)
+    is what "zero-cost when disabled" means here.  test_obs's
+    [disabled hooks allocate nothing] asserts it: 100,000 calls each
+    of {!count}, {!count_node}, {!observe} and {!gauge} with no
+    recorder allocate 0 minor words.  [bench perf] reports the
+    per-call time beside it. *)
 
 val active : unit -> Recorder.t option
 
@@ -24,8 +27,8 @@ val count : subsystem:string -> name:string -> int -> unit
     node; no-op when disabled. *)
 
 val count_node : node:int -> subsystem:string -> name:string -> int -> unit
-(** As {!count} with an explicit node (fault events know the node
-    they hit regardless of the attribution cursor). *)
+(** As {!count} with an explicit node (the DES shards know the node
+    they charge regardless of the attribution cursor). *)
 
 val observe : subsystem:string -> name:string -> int -> unit
 val gauge : subsystem:string -> name:string -> int -> unit

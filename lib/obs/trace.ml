@@ -33,7 +33,7 @@ let length t = t.next_seq
 (* Merge order: simulated time, then the stable per-event sequence
    number assigned at record (or re-assigned at Collect.add) time.
    Wall clock never participates, so the sorted stream is identical
-   for sequential, -j N and fault-replay runs. *)
+   for sequential and -j N runs. *)
 let compare_event a b =
   let c = Int.compare a.ts b.ts in
   if c <> 0 then c else Int.compare a.seq b.seq

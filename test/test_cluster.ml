@@ -608,14 +608,6 @@ let test_validate_ranges () =
        (err (Validate.des_shards (Validate.max_des_shards + 1)))
        "des-shards")
 
-let test_validate_fault_args () =
-  check_bool "preset ok" true (Validate.fault_preset "Mixed " = Ok "mixed");
-  check_bool "preset bad" true
-    (contains (err (Validate.fault_preset "gamma-ray")) "mixed");
-  check_bool "rates ok" true (Validate.rates "0.5, 1,2" = Ok [ 0.5; 1.0; 2.0 ]);
-  check_bool "rates junk" true (Result.is_error (Validate.rates "0.5,x"));
-  check_bool "rates negative" true (Result.is_error (Validate.rates "-1"))
-
 let () =
   Alcotest.run "mk_cluster"
     [
@@ -679,6 +671,5 @@ let () =
           Alcotest.test_case "app" `Quick test_validate_app;
           Alcotest.test_case "scenario" `Quick test_validate_scenario;
           Alcotest.test_case "ranges" `Quick test_validate_ranges;
-          Alcotest.test_case "fault args" `Quick test_validate_fault_args;
         ] );
     ]

@@ -1158,6 +1158,37 @@ let test_pool_clamped_to_cores () =
     (Pool.parallel_map ~pool succ (List.init 100 Fun.id));
   Pool.shutdown pool
 
+(* mklint: allow R1 — bounds a spin-wait, so a serial pool fails the
+   case below instead of hanging it; no timing is compared. *)
+let cpu_seconds () = Sys.time ()
+
+(* Parallelism as a property, not a speedup: k = 1 + [Pool.size]
+   tasks each wait, with a bounded spin, until all k have started.
+   They can all start only if the workers and the submitter run them
+   at once; a pool that runs its tasks one at a time leaves each
+   spinner to give up after about 5 s of CPU time having seen fewer
+   than k.  No timing ratio is read. *)
+let test_pool_executors_run_at_once () =
+  let pool = Pool.create () in
+  let k = 1 + Pool.size pool in
+  let started = Atomic.make 0 in
+  let seen =
+    Pool.parallel_map ~pool
+      (fun _ ->
+        Atomic.incr started;
+        let deadline = cpu_seconds () +. 5.0 in
+        while Atomic.get started < k && cpu_seconds () < deadline do
+          Domain.cpu_relax ()
+        done;
+        Atomic.get started)
+      (List.init k Fun.id)
+  in
+  Pool.shutdown pool;
+  Alcotest.(check (list int))
+    (Printf.sprintf "each of %d tasks saw all %d start" k k)
+    (List.init k (fun _ -> k))
+    seen
+
 let test_pool_shutdown_with_pending_jobs () =
   (* Exception-free variant of a mid-flight shutdown: jobs that never
      ran must surface as a clean error, not a hang. *)
@@ -1487,6 +1518,8 @@ let () =
           Alcotest.test_case "shutdown with pending jobs" `Quick
             test_pool_shutdown_with_pending_jobs;
           Alcotest.test_case "clamped to cores" `Quick test_pool_clamped_to_cores;
+          Alcotest.test_case "executors run at once" `Quick
+            test_pool_executors_run_at_once;
           Alcotest.test_case "stats provenance invariant" `Quick
             test_pool_stats_invariant;
           Alcotest.test_case "map keeps GC settings" `Quick

@@ -162,35 +162,26 @@ end
 (* Tiny node counts matter most: there the offsets reach +-n; others
    straddle the 24-node edge switches.  Byte counts straddle the NIC's
    eager threshold, so rendezvous control calls are charged on one
-   side; one fabric has degraded links on both sides of a switch
-   boundary. *)
+   side. *)
 let test_halo_matches_reference () =
   let eager = Mk_fabric.Nic.eager_threshold (Mk_fabric.Nic.make ()) in
   let rng = Mk_engine.Rng.create 17 in
   List.iter
     (fun nodes ->
-      let charged =
+      let env =
         { (mk_env ~nodes ()) with Collective.syscall_cost = (fun _ -> 700) }
       in
-      let degraded = mk_env ~nodes () in
-      List.iter
-        (fun node ->
-          Mk_fabric.Fabric.set_link_factor degraded.Collective.fabric ~node ~factor:1.7)
-        [ 1; 23; 24 ];
       for neighbors = 1 to 26 do
         List.iter
           (fun bytes ->
-            List.iter
-              (fun env ->
-                let clocks = Array.init nodes (fun _ -> Mk_engine.Rng.int rng 50_000) in
-                let expected = Array.copy clocks in
-                P2p.halo env ~clocks ~bytes ~neighbors;
-                Halo_reference.halo env ~clocks:expected ~bytes ~neighbors;
-                Alcotest.(check (array int))
-                  (Printf.sprintf "%d nodes, %d neighbors, %d bytes" nodes neighbors
-                     bytes)
-                  expected clocks)
-              [ charged; degraded ])
+            let clocks = Array.init nodes (fun _ -> Mk_engine.Rng.int rng 50_000) in
+            let expected = Array.copy clocks in
+            P2p.halo env ~clocks ~bytes ~neighbors;
+            Halo_reference.halo env ~clocks:expected ~bytes ~neighbors;
+            Alcotest.(check (array int))
+              (Printf.sprintf "%d nodes, %d neighbors, %d bytes" nodes neighbors
+                 bytes)
+              expected clocks)
           [ 8; eager; eager + 1; 1024 * 1024 ]
       done)
     [ 1; 2; 3; 4; 5; 8; 9; 23; 24; 25; 27; 48; 49; 64; 1000; 2048 ]
@@ -253,48 +244,37 @@ end
 
 (* Node counts straddle the 24-node edge switches; byte counts straddle
    the eager threshold, so rendezvous edges price (and, on an LWK,
-   count) their control syscalls; one fabric has degraded links on
-   both sides of a switch boundary.  Each side's syscall pricer counts
+   count) their control syscalls.  Each side's syscall pricer counts
    its calls, and the counts must agree too. *)
 let test_allreduce_matches_reference () =
   let eager = Mk_fabric.Nic.eager_threshold (Mk_fabric.Nic.make ()) in
   let rng = Mk_engine.Rng.create 23 in
   List.iter
     (fun nodes ->
-      let degraded = Mk_fabric.Fabric.make ~nodes () in
-      List.iteri
-        (fun i node ->
-          Mk_fabric.Fabric.set_link_factor degraded ~node
-            ~factor:(1.3 +. (0.4 *. float_of_int i)))
-        [ 1; 23; 24; 48; 999 ];
+      let fabric = Mk_fabric.Fabric.make ~nodes () in
       List.iter
-        (fun (label, fabric) ->
-          List.iter
-            (fun bytes ->
-              let counted () =
-                let calls = ref 0 in
-                ( {
-                    Collective.fabric;
-                    syscall_cost =
-                      (fun _ ->
-                        incr calls;
-                        700);
-                    intra_ranks = 64;
-                  },
-                  calls )
-              in
-              let env, calls = counted () and ref_env, ref_calls = counted () in
-              let what =
-                Printf.sprintf "%d nodes, %s fabric, %d bytes" nodes label bytes
-              in
-              let clocks = Array.init nodes (fun _ -> Mk_engine.Rng.int rng 50_000) in
-              let expected = Array.copy clocks in
-              Collective.allreduce env ~clocks ~bytes;
-              Allreduce_reference.allreduce ref_env ~clocks:expected ~bytes;
-              Alcotest.(check (array int)) what expected clocks;
-              check_int (what ^ ", syscall pricings") !ref_calls !calls)
-            [ 8; eager; eager + 1; 1024 * 1024 ])
-        [ ("healthy", Mk_fabric.Fabric.make ~nodes ()); ("degraded", degraded) ])
+        (fun bytes ->
+          let counted () =
+            let calls = ref 0 in
+            ( {
+                Collective.fabric;
+                syscall_cost =
+                  (fun _ ->
+                    incr calls;
+                    700);
+                intra_ranks = 64;
+              },
+              calls )
+          in
+          let env, calls = counted () and ref_env, ref_calls = counted () in
+          let what = Printf.sprintf "%d nodes, %d bytes" nodes bytes in
+          let clocks = Array.init nodes (fun _ -> Mk_engine.Rng.int rng 50_000) in
+          let expected = Array.copy clocks in
+          Collective.allreduce env ~clocks ~bytes;
+          Allreduce_reference.allreduce ref_env ~clocks:expected ~bytes;
+          Alcotest.(check (array int)) what expected clocks;
+          check_int (what ^ ", syscall pricings") !ref_calls !calls)
+        [ 8; eager; eager + 1; 1024 * 1024 ])
     [ 1; 2; 23; 24; 25; 48; 49; 1000; 2048 ]
 
 (* An allreduce runs at every sync point of every iteration; at the

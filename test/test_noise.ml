@@ -114,6 +114,43 @@ let test_max_delay_known_answers () =
   check_int "linux_default" 150_895_691 (draw_sum Profile.linux_default);
   check_int "mos_lwk" 218_038 (draw_sum Profile.mos_lwk)
 
+(* Mean of [max_delay] over mean of the brute-force oracle: the max
+   over [ranks] independent [delay] draws, on its own seed. *)
+let max_delay_bias profile ~dur ~ranks ~trials =
+  let rng = Rng.create 42 and oracle = Rng.create 4242 in
+  let drawn = ref 0 and exact = ref 0 in
+  for _ = 1 to trials do
+    drawn := !drawn + Injector.max_delay profile rng ~dur ~ranks;
+    let worst = ref 0 in
+    for _ = 1 to ranks do
+      worst := Int.max !worst (Injector.delay profile oracle ~dur)
+    done;
+    exact := !exact + !worst
+  done;
+  float_of_int !drawn /. float_of_int !exact
+
+(* [max_delay] draws each source's worst strike count over the ranks
+   but fresh detours for it, and sums the per-source maxima, so its
+   error against the max of per-rank sums goes both ways (MODEL.md
+   §4, item 1).  Two points pin the sign: it over-estimates where
+   most of the paper grid draws (stock Linux, 2 ms x 64 ranks) and
+   under-estimates by about 2x at long windows of the noisier
+   default profile. *)
+let test_max_delay_bias_sign () =
+  let over =
+    max_delay_bias Profile.linux_nohz_full ~dur:(2 * Units.ms) ~ranks:64
+      ~trials:4_000
+  in
+  if not (over > 1.0) then
+    Alcotest.failf "linux-nohz-full, 2 ms x 64: ratio %.3f, expected > 1" over;
+  let under =
+    max_delay_bias Profile.linux_default ~dur:(100 * Units.ms) ~ranks:256
+      ~trials:500
+  in
+  if not (under < 0.7) then
+    Alcotest.failf "linux-default, 100 ms x 256: ratio %.3f, expected < 0.7"
+      under
+
 (* Minor words per [max_delay] draw, by default of the Cluster_des
    window. *)
 let words_per_draw ?(dur = 2 * Units.ms) ?(ranks = 64) profile =
@@ -458,6 +495,8 @@ let () =
         :: Alcotest.test_case "determinism" `Quick test_determinism
         :: Alcotest.test_case "max_delay known answers" `Quick
              test_max_delay_known_answers
+        :: Alcotest.test_case "max_delay bias sign" `Quick
+             test_max_delay_bias_sign
         :: Alcotest.test_case "max_delay allocation budget" `Quick
              test_max_delay_alloc_budget
         :: qsuite [ delay_nonnegative ]

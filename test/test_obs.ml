@@ -233,6 +233,31 @@ let test_hook_ambient () =
 (* ------------------------------------------------------------------ *)
 (* Attribution fixtures: a known 2-node scenario yields exact counts *)
 
+
+(* The Null sink's cost, asserted exactly rather than timed: with no
+   recorder installed every hook helper is a DLS read and a match, so
+   100,000 calls of each allocate no minor word.  The counts vary per
+   call, so nothing is hoisted out of the loop. *)
+let test_hook_disabled_allocates_nothing () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  check_bool "no recorder" true (Hook.active () = None);
+  let calls = 100_000 in
+  let words name f =
+    f 0;
+    let before = Gc.minor_words () in
+    for i = 1 to calls do
+      f i
+    done;
+    let w = Gc.minor_words () -. before in
+    if w > 0.0 then
+      Alcotest.failf "Hook.%s, disabled: %.0f minor words in %d calls" name w
+        calls
+  in
+  words "count" (fun i -> Hook.count ~subsystem:"mem" ~name:"demand_faults" i);
+  words "count_node" (fun i ->
+      Hook.count_node ~node:(i land 7) ~subsystem:"des" ~name:"events" i);
+  words "observe" (fun i -> Hook.observe ~subsystem:"mpi" ~name:"halo_ns" i);
+  words "gauge" (fun i -> Hook.gauge ~subsystem:"ikc" ~name:"proxy_queue_ns" i)
 let app name = Option.get (Mk_apps.Registry.find name)
 
 let traced_run scenario name =
@@ -486,7 +511,12 @@ let () =
           Alcotest.test_case "render allocation budget" `Quick
             test_trace_render_alloc_budget;
         ] );
-      ("hook", [ Alcotest.test_case "ambient sink" `Quick test_hook_ambient ]);
+      ( "hook",
+        [
+          Alcotest.test_case "ambient sink" `Quick test_hook_ambient;
+          Alcotest.test_case "disabled hooks allocate nothing" `Quick
+            test_hook_disabled_allocates_nothing;
+        ] );
       ( "attribution",
         [
           Alcotest.test_case "mckernel fixtures" `Quick
