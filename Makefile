@@ -1,5 +1,5 @@
 # Convenience aliases around dune; ci.sh remains the authoritative gate.
-.PHONY: build test lint lint-json lint-sarif dscheck doc ci trace-smoke perfbench-digests scale-smoke scale history diff
+.PHONY: build test lint lint-json lint-sarif dscheck doc ci trace-smoke perfbench-digests
 
 build:
 	dune build
@@ -62,27 +62,6 @@ perfbench-digests:
 	    esac; \
 	  done; \
 	done
-
-# The sharded-DES gate from ci.sh, standalone: serial-vs-sharded
-# byte-identity plus the fast-forward speedup bar (>= 4 cores) — see
-# docs/SHARDING.md.
-scale-smoke:
-	dune exec bench/main.exe -- scale --smoke
-
-# The full weak-scaling sweep to 131,072 nodes; writes
-# bench/results/latest-scale.json and BENCH_scale.json.
-scale:
-	dune exec bench/main.exe -- scale
-
-# The tagged bench trajectory (perf/scale, smoke included) and the
-# regression diff against the previous run — see
-# docs/OBSERVABILITY.md §2.
-history:
-	dune exec bench/main.exe -- history
-
-diff:
-	dune exec bench/main.exe -- diff-selftest
-	dune exec bench/main.exe -- diff --against latest --smoke
 
 ci:
 	./ci.sh

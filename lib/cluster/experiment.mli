@@ -129,8 +129,8 @@ val suite :
   (Mk_apps.App.t * series list) list
 (** The paper's full evaluation: every registered application (or
     [apps]) against {!Scenario.trio} at its own node counts (or
-    [node_counts] for all of them — the bench perf smoke gate uses
-    this to shrink the suite to a few cells).  The input to the
+    [node_counts] for all of them, which shrinks the suite to a few
+    cells).  The input to the
     {!Report} suite views and the [simos suite] command. *)
 
 (** {1 Cell builders}

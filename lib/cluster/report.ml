@@ -303,7 +303,7 @@ let mechanism_table (c : Mk_obs.Collect.t) =
   in
   Table.render ~header rows
 
-let suite_json ~runs ~seed ?(meta = []) ?obs suite =
+let suite_json ~runs ~seed ?obs suite =
   let open Mk_engine.Json in
   Obj
     ([
@@ -311,7 +311,6 @@ let suite_json ~runs ~seed ?(meta = []) ?obs suite =
        ("runs", Int runs);
        ("seed", Int seed);
      ]
-    @ meta
     @ (match obs with
       | None -> []
       | Some c -> [ ("metrics", Mk_obs.Collect.metrics_json c) ])

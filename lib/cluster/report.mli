@@ -61,14 +61,13 @@ val mechanism_table : Mk_obs.Collect.t -> string
 val suite_json :
   runs:int ->
   seed:int ->
-  ?meta:(string * Mk_engine.Json.t) list ->
   ?obs:Mk_obs.Collect.t ->
   (Mk_apps.App.t * Experiment.series list) list ->
   Mk_engine.Json.t
-(** The bench/results document: schema tag, run parameters, extra
-    [meta] fields (tag, wall-clock timings …), headline statistics,
-    and the per-app {!json} exports.  Deterministic field order, so
-    byte-identical inputs render byte-identical files. *)
+(** The suite document ([simos suite --format json]): schema tag, run
+    parameters, the merged [obs] metrics when given, headline
+    statistics, and the per-app {!json} exports.  Deterministic field
+    order, so byte-identical inputs render byte-identical files. *)
 
 val des_table : Experiment.des_check list -> string
 (** The [--des-shards] verdict: one row per scenario with the serial

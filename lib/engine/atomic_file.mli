@@ -7,8 +7,8 @@
     either the old complete file or the new complete file, never a
     truncated mix — and because the staged bytes are fsynced first,
     the rename never publishes a page-cache-only file that a power cut
-    could truncate.  The bench results pipeline and every exported
-    trace or metrics document route their writes through this. *)
+    could truncate.  Every exported trace, metrics or profile document
+    routes its writes through this. *)
 
 exception Corrupt of { path : string; reason : string }
 (** Raised by {!read} / {!read_json} when [path] cannot be read or

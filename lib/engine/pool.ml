@@ -49,7 +49,7 @@ type t = {
   mutable domains : unit Domain.t list;
   (* Self-profiling counters: slot [i] is written by executor [i]
      only, without fences — snapshots may lag a few jobs, which is
-     fine for the bench utilisation report and must never feed
+     fine for the scheduler reports and must never feed
      simulation output.  The slotless fallback path does not count. *)
   executed : int array;
   local_pops : int array;

@@ -63,15 +63,16 @@ val size : t -> int
 
 (** {1 Scheduler statistics}
 
-    Per-executor counters for the bench layer's self-profiling.
+    Per-executor counters for the scheduler's self-profiling.
     Counter slot [i < size t] belongs to worker [i]; the last slot is
     the submitting domain helping during {!parallel_map}.  Each slot
     is written by its executor alone and read without
     synchronisation, so a snapshot taken while a map is in flight may
     lag by a task or two.  Which executor ran which task is a race
     between domains, so these numbers are {e nondeterministic} by
-    nature: they are for [bench perf]'s scheduler report and must
-    never feed simulation output or run snapshots. *)
+    nature: they are for scheduler reports ([simos profile --sched],
+    perfbench's pool layer) and must never feed simulation output or
+    run snapshots. *)
 
 type stats = {
   executors : int;  (** [size t + 1]: workers plus the submitter slot *)
@@ -94,8 +95,8 @@ val reset_stats : t -> unit
     while a map is in flight. *)
 
 val executed_jobs : t -> int array
-(** [stats t |> fun s -> s.executed] — kept for the bench layer's
-    utilisation report. *)
+(** [stats t |> fun s -> s.executed]: tasks run, per executor, since
+    creation or {!reset_stats}. *)
 
 val injector_depth : t -> int
 (** Jobs currently waiting on the [submit] injector queue (taken

@@ -8,9 +8,9 @@
     counts.  They therefore must never be absorbed into a run's
     {!Recorder} snapshot or any {!Collect} that feeds simulation
     output — the determinism gate (seq vs [-j N] byte-identity) would
-    catch it if they were.  This module exists for the bench layer's
-    self-profiling only: [bench perf] snapshots the pool after a
-    timed phase and embeds the result in its report.
+    catch it if they were.  This module exists for the scheduler
+    report only: [simos profile --sched] prints the pool's counters
+    after its run, outside the deterministic document.
 
     Key shape: [kernel] is ["engine"] (no simulated kernel earned
     these samples), [node] is the executor index — worker [i] is node

@@ -395,19 +395,23 @@ let test_des_sharded_crossings () =
   check_bool "events" true (s.Cluster_des.shard_events > 0);
   check_bool "epochs" true (s.Cluster_des.epochs > 0)
 
-(* The conservative protocol's counts for the workload [bench scale
-   --smoke] times (mos-lwk noise, 2 shards, no pool, seed 42).  They
-   are a pure function of the parameters, so unlike the timing ratio
-   recorded beside them they can be pinned exactly: a shorter
-   lookahead shows up as more epochs and null messages. *)
+(* The sharded DES at 256 and 1,024 nodes (mos-lwk noise, 2 shards, no
+   pool, seed 42): its result equals the serial heap's, and the
+   conservative protocol's counts are a pure function of the
+   parameters, so they are pinned exactly: a shorter lookahead shows
+   up as more epochs and null messages. *)
 let test_des_smoke_counts () =
   List.iter
     (fun (nodes, events, cross, nulls, epochs) ->
-      let _, s =
+      let r, s =
         des_sharded ~shards:2 ~nodes ~profile:Mk_noise.Profile.mos_lwk
           ~seed:42 ~iterations:10 ()
       in
       let at what = Printf.sprintf "%s at %d nodes" what nodes in
+      check_des_result (at "sharded vs serial")
+        (des_serial ~nodes ~profile:Mk_noise.Profile.mos_lwk ~seed:42
+           ~iterations:10)
+        r;
       check_int (at "shard events") events s.Cluster_des.shard_events;
       check_int (at "cross messages") cross s.Cluster_des.cross_messages;
       check_int (at "null messages") nulls s.Cluster_des.null_messages;
@@ -504,7 +508,20 @@ let test_parallel_matches_sequential () =
   Alcotest.(check string)
     "table byte-identical"
     (Report.fom_table ~app:a seq)
-    (Report.fom_table ~app:a par)
+    (Report.fom_table ~app:a par);
+  (* The suite document under -j 2 (one worker beside the submitting
+     domain): HPCG at 512-2,048 nodes is 18 tasks of 1-90 ms. *)
+  let suite_doc ?pool () =
+    Mk_engine.Json.to_string
+      (Report.suite_json ~runs:2 ~seed:42
+         (Experiment.suite ?pool ~apps:[ app "hpcg" ]
+            ~node_counts:[ 512; 1024; 2048 ] ~runs:2 ~seed:42 ()))
+  in
+  let seq = suite_doc () in
+  let pool = Mk_engine.Pool.create ~oversubscribe:true ~num_domains:1 () in
+  let par = suite_doc ~pool () in
+  Mk_engine.Pool.shutdown pool;
+  Alcotest.(check string) "suite json byte-identical under -j 2" seq par
 
 let test_suite_views () =
   let a = app "amg" in

@@ -711,17 +711,16 @@ let test_pgtbl_failed_strict_mmap () =
   check_int "no table pages" 0 (Page_table.table_pages pt)
 
 let test_pgtbl_closed_form_op_count () =
-  (* The acceptance bound for the closed-form span arithmetic: a
-     4 GiB 4K mapping is 1M pages but only 2048 leaf tables, and the
-     work must scale with the tables, not the pages. *)
+  (* The closed-form span arithmetic, counted exactly: a 4 GiB 4K
+     mapping is 1M pages but only 2,048 leaf tables, and the work is
+     one inner op per leaf table, not per page. *)
   let pt = Page_table.create () in
   Page_table.map pt ~vaddr:0 ~bytes:(4 * gib) ~page:Page.Small;
   check_int "a million leaves" (1024 * 1024) (Page_table.leaf_entries pt);
-  check_bool "map cost is O(leaf tables), not O(pages)" true
-    (Page_table.op_count pt < 5_000);
+  check_int "map: one op per leaf table" 2_048 (Page_table.op_count pt);
   Page_table.unmap pt ~vaddr:0 ~bytes:(4 * gib) ~page:Page.Small;
   check_int "clean" 0 (Page_table.table_pages pt);
-  check_bool "unmap too" true (Page_table.op_count pt < 10_000)
+  check_int "unmap: one more per leaf table" 4_096 (Page_table.op_count pt)
 
 (* The executable specification: random (overlapping, boundary-
    crossing) map/unmap sequences through the closed-form code and the

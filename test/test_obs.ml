@@ -230,34 +230,67 @@ let test_hook_ambient () =
   check_int "inner saw one" 1
     (c inner (key ~kernel:"inner" ~subsystem:"s" ~name:"c" ()))
 
-(* ------------------------------------------------------------------ *)
-(* Attribution fixtures: a known 2-node scenario yields exact counts *)
-
-
-(* The Null sink's cost, asserted exactly rather than timed: with no
-   recorder installed every hook helper is a DLS read and a match, so
-   100,000 calls of each allocate no minor word.  The counts vary per
-   call, so nothing is hoisted out of the loop. *)
-let test_hook_disabled_allocates_nothing () =
-  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
-  check_bool "no recorder" true (Hook.active () = None);
+(* Minor words per call of [f], asserted exactly rather than timed:
+   [f i] runs 100,000 times after a first pass that registers every
+   metric key the calls touch.  [i] varies per call, so nothing is
+   hoisted out of the loop. *)
+let words ~budget name f =
   let calls = 100_000 in
-  let words name f =
-    f 0;
-    let before = Gc.minor_words () in
-    for i = 1 to calls do
-      f i
-    done;
-    let w = Gc.minor_words () -. before in
-    if w > 0.0 then
-      Alcotest.failf "Hook.%s, disabled: %.0f minor words in %d calls" name w
-        calls
-  in
+  for i = 1 to calls do
+    f i
+  done;
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    f i
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  if per_call > budget then
+    Alcotest.failf "%s: %.2f minor words per call > %g" name per_call budget
+
+(* The four hook helpers as the layers call them. *)
+let words_per_hook ~budget sink =
+  let words name = words ~budget (Printf.sprintf "Hook.%s, %s" name sink) in
   words "count" (fun i -> Hook.count ~subsystem:"mem" ~name:"demand_faults" i);
   words "count_node" (fun i ->
       Hook.count_node ~node:(i land 7) ~subsystem:"des" ~name:"events" i);
   words "observe" (fun i -> Hook.observe ~subsystem:"mpi" ~name:"halo_ns" i);
   words "gauge" (fun i -> Hook.gauge ~subsystem:"ikc" ~name:"proxy_queue_ns" i)
+
+(* The Null sink's cost: with no recorder installed every hook helper
+   is a DLS read and a match, so a call allocates no minor word. *)
+let test_hook_disabled_allocates_nothing () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  check_bool "no recorder" true (Hook.active () = None);
+  words_per_hook ~budget:0.0 "disabled"
+
+(* The Memory and File sinks' cost per call (with [render allocation
+   budget], per output byte, it bounds what a metered or traced run
+   pays).  A metric update builds its 5-word key and the table lookup's
+   2-word [Some]; a traced span conses a 9-word event, its 2-word
+   [Some dur] and a 3-word list cell, an instant the event and the
+   cell.  Untraced, span and instant allocate nothing. *)
+let test_hook_recorder_alloc_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  List.iter
+    (fun trace ->
+      let sink = if trace then "traced" else "metered" in
+      let r = Recorder.make ~trace ~label:"k" ~nodes:8 ~seed:0 () in
+      Hook.with_recorder r (fun () -> words_per_hook ~budget:7.0 sink);
+      words ~budget:(if trace then 14.0 else 0.0)
+        ("Recorder.span, " ^ sink)
+        (fun i ->
+          Recorder.span r ~ts:i ~dur:3 ~node:(i land 7) ~tid:0 ~cat:"mpi"
+            ~name:"allreduce" ());
+      words ~budget:(if trace then 12.0 else 0.0)
+        ("Recorder.instant, " ^ sink)
+        (fun i ->
+          Recorder.instant r ~ts:i ~node:(i land 7) ~tid:0 ~cat:"noise"
+            ~name:"detour" ()))
+    [ false; true ]
+
+(* ------------------------------------------------------------------ *)
+(* Attribution fixtures: a known 2-node scenario yields exact counts *)
+
 let app name = Option.get (Mk_apps.Registry.find name)
 
 let traced_run scenario name =
@@ -516,6 +549,8 @@ let () =
           Alcotest.test_case "ambient sink" `Quick test_hook_ambient;
           Alcotest.test_case "disabled hooks allocate nothing" `Quick
             test_hook_disabled_allocates_nothing;
+          Alcotest.test_case "recorder sink allocation budget" `Quick
+            test_hook_recorder_alloc_budget;
         ] );
       ( "attribution",
         [
